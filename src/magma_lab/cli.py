@@ -2,24 +2,26 @@
 
 Exit codes: 0 for success (holds / found / verified), 1 for a semantically
 negative outcome (a law fails, a search exhausts, a theorem sweep finds a
-counterexample), 2 for usage, input or feasibility errors.
+counterexample), 2 for usage, input or feasibility errors. A reader that
+closes stdout early (``enumerate ... | head``) ends the command quietly
+with 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
 
-from .core import Magma, TableError, canonical_form, format_table, parse_table
-from .dsl import LawSyntaxError, format_law, parse_law, parse_spec
+from .core import Magma, canonical_form, format_table, parse_table
+from .dsl import format_law, parse_law, parse_spec
 from .enumeration import (
     ALL_MAGMAS,
     LATIN,
     EnumSpec,
-    InfeasibleError,
     count as count_tables,
     tables,
 )
@@ -419,14 +421,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (TableError, LawSyntaxError, InfeasibleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (``| head``). Point stdout at devnull so
+        # the interpreter's final flush of what is still buffered is silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -59,16 +59,19 @@ def _split_constraints(spec: EnumSpec):
     return eqs, post
 
 
-def _order_cap(mode: str, has_equational: bool) -> int:
+def _order_cap(default: int) -> int:
+    """The largest order allowed: MAGMA_LAB_MAX_ORDER when set, else default.
+
+    The one reading of the override, shared by enumeration and the
+    theorem sweeps.
+    """
     env = os.environ.get(MAX_ORDER_ENV)
     if env:
         try:
             return int(env)
         except ValueError:
             raise InfeasibleError(f"bad {MAX_ORDER_ENV} value {env!r}") from None
-    if mode == LATIN:
-        return _LATIN_CAP
-    return _ALL_CAP_CONSTRAINED if has_equational else _ALL_CAP_PLAIN
+    return default
 
 
 def validate_spec(spec: EnumSpec) -> None:
@@ -79,7 +82,10 @@ def validate_spec(spec: EnumSpec) -> None:
     if spec.non_latin and spec.mode == LATIN:
         raise InfeasibleError("non_latin contradicts latin-squares mode")
     eqs, _ = _split_constraints(spec)
-    cap = _order_cap(spec.mode, bool(eqs))
+    if spec.mode == LATIN:
+        cap = _order_cap(_LATIN_CAP)
+    else:
+        cap = _order_cap(_ALL_CAP_CONSTRAINED if eqs else _ALL_CAP_PLAIN)
     if spec.order > cap:
         raise InfeasibleError(
             f"order {spec.order} exceeds the {spec.mode} cap {cap}; "
@@ -236,27 +242,35 @@ def _prefixes(spec: EnumSpec):
     return product(range(n), repeat=n)
 
 
-def _subtree_raw(args) -> list:
-    spec, prefix = args
+def _subtree(job):
+    """Worker for one first-row prefix: its tables as flat tuples, or only
+    their number when the job asks to count."""
+    spec, prefix, counting = job
     n = spec.order
     eqs, _ = _split_constraints(spec)
     latin = spec.mode == LATIN
     if not latin and not eqs and not spec.non_latin:
         rest = n * n - len(prefix)
+        if counting:
+            return n ** rest
         return [prefix + tail for tail in product(range(n), repeat=rest)]
-    out: list = []
-    _run(n, latin, _instances(eqs, n), prefix, spec.non_latin, out)
-    return out
+    out = None if counting else []
+    accepted = _run(n, latin, _instances(eqs, n), prefix, spec.non_latin, out)
+    return accepted if counting else out
 
 
-def _subtree_count(args) -> int:
-    spec, prefix = args
-    n = spec.order
-    eqs, _ = _split_constraints(spec)
-    latin = spec.mode == LATIN
-    if not latin and not eqs and not spec.non_latin:
-        return n ** (n * n - len(prefix))
-    return _run(n, latin, _instances(eqs, n), prefix, spec.non_latin, None)
+def _subtrees(spec: EnumSpec, workers: int, counting: bool):
+    """_subtree results for every first-row prefix, in first-row order.
+
+    The pool never gets more processes than there are CPUs or jobs.
+    """
+    jobs = [(spec, p, counting) for p in _prefixes(spec)]
+    workers = min(workers, os.cpu_count() or 1, len(jobs))
+    if workers <= 1:
+        yield from map(_subtree, jobs)
+        return
+    with Pool(workers) as pool:
+        yield from pool.imap(_subtree, jobs, chunksize=1)
 
 
 def tables(spec: EnumSpec, workers: int = 1) -> Iterator[Magma]:
@@ -264,23 +278,13 @@ def tables(spec: EnumSpec, workers: int = 1) -> Iterator[Magma]:
     validate_spec(spec)
     _, post = _split_constraints(spec)
     order = spec.order
-
-    def emit(chunk):
+    for chunk in _subtrees(spec, workers, counting=False):
         for raw in chunk:
             m = Magma(order, raw)
             if spec.up_to_iso and canonical_form(m).table != m.table:
                 continue
             if all(holds(m, law) for law in post):
                 yield m
-
-    jobs = [(spec, p) for p in _prefixes(spec)]
-    if workers <= 1:
-        for job in jobs:
-            yield from emit(_subtree_raw(job))
-    else:
-        with Pool(workers) as pool:
-            for chunk in pool.imap(_subtree_raw, jobs, chunksize=1):
-                yield from emit(chunk)
 
 
 def count(spec: EnumSpec, workers: int = 1) -> int:
@@ -289,8 +293,4 @@ def count(spec: EnumSpec, workers: int = 1) -> int:
     _, post = _split_constraints(spec)
     if spec.up_to_iso or post:
         return sum(1 for _ in tables(spec, workers))
-    jobs = [(spec, p) for p in _prefixes(spec)]
-    if workers <= 1:
-        return sum(_subtree_count(job) for job in jobs)
-    with Pool(workers) as pool:
-        return sum(pool.imap(_subtree_count, jobs, chunksize=1))
+    return sum(_subtrees(spec, workers, counting=True))

@@ -143,15 +143,23 @@ def find_neutrals(m: Magma) -> NeutralReport:
     return NeutralReport(left, right, two)
 
 
-def check_inverses(m: Magma, e: int) -> CheckReport:
-    """Check that every element has a two-sided inverse for the neutral e."""
+def _inverse_scan(m: Magma, e: int):
+    """For each a in turn, its first two-sided inverse for e, or None."""
     n = m.order
     t = m.table
+    for a in range(n):
+        yield next(
+            (b for b in range(n) if t[a * n + b] == e and t[b * n + a] == e), None
+        )
+
+
+def check_inverses(m: Magma, e: int) -> CheckReport:
+    """Check that every element has a two-sided inverse for the neutral e."""
     rep = find_neutrals(m)
     if rep.two_sided != e:
         raise ValueError(f"element {e} is not a two-sided neutral")
-    for a in range(n):
-        if not any(t[a * n + b] == e and t[b * n + a] == e for b in range(n)):
+    for a, b in enumerate(_inverse_scan(m, e)):
+        if b is None:
             return CheckReport(m.order, IN, False, {"a": a}, {"neutral": e})
     return CheckReport(m.order, IN, True, None, {"neutral": e})
 
@@ -261,66 +269,12 @@ def local_identities(m: Magma, a: int) -> LocalIdentities:
     return LocalIdentities(a, right, left)
 
 
-def _two_sided_neutral(m: Magma):
-    n = m.order
-    t = m.table
-    for e in range(n):
-        if all(t[e * n + b] == b for b in range(n)) and all(
-            t[b * n + e] == b for b in range(n)
-        ):
-            return e
-    return None
-
-
-def _has_inverses(m: Magma, e: int) -> bool:
-    n = m.order
-    t = m.table
-    return all(
-        any(t[a * n + b] == e and t[b * n + a] == e for b in range(n))
-        for a in range(n)
-    )
-
-
-def _is_latin(m: Magma) -> bool:
-    n = m.order
-    t = m.table
-    full = (1 << n) - 1
-    for r in range(n):
-        seen = 0
-        for c in range(n):
-            seen |= 1 << t[r * n + c]
-        if seen != full:
-            return False
-    for c in range(n):
-        seen = 0
-        for r in range(n):
-            seen |= 1 << t[r * n + c]
-        if seen != full:
-            return False
-    return True
-
-
-def _is_cancellative(m: Magma) -> bool:
-    n = m.order
-    t = m.table
-    for a in range(n):
-        row = a * n
-        for b in range(n):
-            v = t[row + b]
-            for c in range(b + 1, n):
-                if t[row + c] == v:
-                    return False
-    for a in range(n):
-        for b in range(n):
-            v = t[b * n + a]
-            for c in range(b + 1, n):
-                if t[c * n + a] == v:
-                    return False
-    return True
-
-
 def holds(m: Magma, law: Law, memo: dict | None = None) -> bool:
-    """Fast boolean version of the checkers; memo caches built-in tags per magma."""
+    """Whether law holds, decided by the same scans as check_law.
+
+    memo caches built-in tags per magma. Composite laws go through holds
+    again for their parts, so the parts are cached too.
+    """
     tag = law.tag
     if memo is not None and tag != "USER":
         cached = memo.get(tag)
@@ -329,14 +283,14 @@ def holds(m: Magma, law: Law, memo: dict | None = None) -> bool:
     if law.equation is not None:
         result = _equation_failure(m, law.equation) is None
     elif tag == "NE":
-        result = _two_sided_neutral(m) is not None
+        result = find_neutrals(m).two_sided is not None
     elif tag == "IN":
-        e = _two_sided_neutral(m)
-        result = e is not None and _has_inverses(m, e)
+        e = find_neutrals(m).two_sided
+        result = e is not None and check_inverses(m, e).holds
     elif tag == "H":
-        result = _is_latin(m)
+        result = check_H(m).holds
     elif tag == "CA":
-        result = _is_cancellative(m)
+        result = check_cancellative(m).holds
     elif tag == "LOOP":
         result = holds(m, H, memo) and holds(m, NE, memo)
     elif tag == "GROUP":
@@ -356,23 +310,14 @@ def classify(m: Magma) -> StructureReport:
     commutative = holds(m, C)
     semigroup = holds(m, A)
     monoid = semigroup and neutrals.two_sided is not None
-    quasigroup = _is_latin(m)
+    quasigroup = check_H(m).holds
     loop = quasigroup and neutrals.two_sided is not None
 
     inverses = None
     group = False
     if neutrals.two_sided is not None:
-        e = neutrals.two_sided
-        n = m.order
-        t = m.table
-        inv = []
-        for a in range(n):
-            b = next(
-                (b for b in range(n) if t[a * n + b] == e and t[b * n + a] == e), None
-            )
-            inv.append(b)
-        inverses = tuple(inv)
-        group = monoid and all(b is not None for b in inverses)
+        inverses = tuple(_inverse_scan(m, neutrals.two_sided))
+        group = monoid and None not in inverses
 
     labels = ["magma"]
     if commutative:

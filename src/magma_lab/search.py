@@ -22,8 +22,10 @@ class SearchSpec:
 class SearchResult:
     """Outcome of a model search.
 
-    ``examined`` counts the structures that satisfied every assumption,
-    accumulated in stream order up to and including the one found.
+    ``examined`` counts the streamed candidates that were tested against
+    the refuted law, in stream order up to and including the one found.
+    Tables the stream skips are not counted: when the search refutes H it
+    streams only non-Latin tables.
     """
 
     spec: SearchSpec

@@ -166,54 +166,41 @@ def _prob_star_windowed() -> WindowedOp:
 _T = True
 _F = False
 
-# documented verdicts for the catalog instances, by (name, params)
-_CLAIMS = {
-    ("nat_add_window", (8,)): (("A", _T), ("C", _T), ("NE", _T), ("H", _F)),
-    ("zn_add", (5,)): (("A", _T), ("C", _T), ("NE", _T), ("IN", _T), ("H", _T)),
-    ("chain_meet", (4,)): (("A", _T), ("C", _T), ("H", _F)),
-    ("chain_join", (4,)): (("A", _T), ("C", _T), ("H", _F)),
-    ("int_sub_window", (-5, 5)): (
+# The example catalog in display order: (name, params) -> (the example row
+# it illustrates, its documented verdicts as (law tag, verdict) pairs)
+_CATALOG = {
+    ("nat_add_window", (8,)): (1, (("A", _T), ("C", _T), ("NE", _T), ("H", _F))),
+    ("zn_add", (5,)): (2, (("A", _T), ("C", _T), ("NE", _T), ("IN", _T), ("H", _T))),
+    ("chain_meet", (4,)): (3, (("A", _T), ("C", _T), ("H", _F))),
+    ("chain_join", (4,)): (3, (("A", _T), ("C", _T), ("H", _F))),
+    ("int_sub_window", (-5, 5)): (4, (
         ("H", _T), ("AGI", _T), ("AGII", _F), ("CAI", _F), ("CAII", _F),
         ("R", _F), ("A", _F), ("C", _F), ("NE", _F),
-    ),
-    ("zn_sub", (3,)): (
+    )),
+    ("zn_sub", (3,)): (4, (
         ("H", _T), ("AGI", _T), ("AGII", _F), ("CAI", _F), ("CAII", _F),
         ("R", _F), ("A", _F), ("C", _F), ("NE", _F),
-    ),
-    ("zn_rsub", (3,)): (
+    )),
+    ("zn_rsub", (3,)): (5, (
         ("H", _T), ("AGII", _T), ("AGI", _F), ("CAI", _F), ("CAII", _F),
         ("R", _F), ("A", _F), ("C", _F), ("NE", _F),
-    ),
-    ("proj2", (2,)): (
+    )),
+    ("proj2", (2,)): (6, (
         ("A", _T), ("AGII", _T), ("C", _F), ("CAI", _F), ("CAII", _F),
         ("AGI", _F), ("R", _F), ("NE", _T), ("H", _F),
-    ),
-    ("proj1", (2,)): (
+    )),
+    ("proj1", (2,)): (7, (
         ("A", _T), ("R", _T), ("CAI", _F), ("CAII", _F), ("AGI", _F),
         ("AGII", _F), ("C", _F), ("NE", _F), ("H", _F),
-    ),
-    ("prob_star", ()): (
+    )),
+    ("prob_star", ()): (8, (
         ("C", _T), ("A", _F), ("AGI", _F), ("AGII", _F), ("CAI", _F),
         ("CAII", _F), ("R", _F), ("NE", _F), ("H", _F),
-    ),
-    ("trivalent_equiv", ()): (
+    )),
+    ("trivalent_equiv", ()): (9, (
         ("C", _T), ("A", _F), ("NE", _T), ("AGI", _F), ("AGII", _F),
         ("CAI", _F), ("CAII", _F), ("R", _F), ("H", _F),
-    ),
-}
-
-_EXAMPLE = {
-    ("nat_add_window", (8,)): 1,
-    ("zn_add", (5,)): 2,
-    ("chain_meet", (4,)): 3,
-    ("chain_join", (4,)): 3,
-    ("int_sub_window", (-5, 5)): 4,
-    ("zn_sub", (3,)): 4,
-    ("zn_rsub", (3,)): 5,
-    ("proj2", (2,)): 6,
-    ("proj1", (2,)): 7,
-    ("prob_star", ()): 8,
-    ("trivalent_equiv", ()): 9,
+    )),
 }
 
 _NOTES = {
@@ -243,10 +230,10 @@ STRUCTURE_NAMES = tuple(sorted(_FINITE_FAMILIES)) + (
 
 
 def _finish(name, params, kind, magma=None, windowed=None) -> BuiltinStructure:
-    key = (name, params)
+    example, claims = _CATALOG.get((name, params), (0, ()))
     return BuiltinStructure(
-        name, params, kind, _EXAMPLE.get(key, 0), magma=magma, windowed=windowed,
-        claims=_CLAIMS.get(key, ()), notes=_NOTES.get(name, ()),
+        name, params, kind, example, magma=magma, windowed=windowed,
+        claims=claims, notes=_NOTES.get(name, ()),
     )
 
 
@@ -400,21 +387,6 @@ class ExampleRecord:
     notes: tuple
 
 
-_SUITE = (
-    ("nat_add_window", (8,)),
-    ("zn_add", (5,)),
-    ("chain_meet", (4,)),
-    ("chain_join", (4,)),
-    ("int_sub_window", (-5, 5)),
-    ("zn_sub", (3,)),
-    ("zn_rsub", (3,)),
-    ("proj2", (2,)),
-    ("proj1", (2,)),
-    ("prob_star", ()),
-    ("trivalent_equiv", ()),
-)
-
-
 def _neutral_note(left, right) -> str:
     def fmt(vals):
         if vals == ALL:
@@ -469,7 +441,7 @@ def example_suite() -> list[ExampleRecord]:
     verdicts. A mismatch means the documentation is wrong, not the check:
     finite results are exact and windowed failures carry real witnesses."""
     records = []
-    for name, params in _SUITE:
+    for name, params in _CATALOG:
         s = builtin(name, *params)
         if s.kind == "finite":
             actual, scopes, notes = _evaluate_finite(s)

@@ -1,7 +1,12 @@
-"""End-to-end CLI tests, run in process through main(argv)."""
+"""End-to-end CLI tests, run in process through main(argv), except the one
+that needs a real pipe."""
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -292,6 +297,41 @@ def test_theorems_over_cap(capsys):
     code, _, err = run(capsys, "theorems", "--max-order", "4")
     assert code == 2
     assert "caps at order 3" in err
+
+
+@pytest.mark.parametrize("argv", [("--max-order", "0"), ("--max-order", "-2", "--json")])
+def test_theorems_reject_empty_sweep(capsys, argv):
+    # a sweep over no structures would verify every theorem vacuously
+    code, out, err = run(capsys, "theorems", *argv)
+    assert code == 2
+    assert out == ""
+    assert "max order must be positive" in err
+
+
+def test_theorems_bad_cap_override(capsys, monkeypatch):
+    monkeypatch.setenv("MAGMA_LAB_MAX_ORDER", "zap")
+    code, _, err = run(capsys, "theorems", "--max-order", "2")
+    assert code == 2
+    assert "bad MAGMA_LAB_MAX_ORDER value 'zap'" in err
+
+
+def test_enumerate_into_closed_pipe_is_quiet():
+    # enumerate --order 3 writes about 400 KB, more than a pipe buffer holds,
+    # so the writer meets the closed pipe while it is still printing
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from magma_lab.cli import main; sys.exit(main())",
+         "enumerate", "--order", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as writer:
+        assert writer.stdout.readline() == b"3\n"
+        writer.stdout.close()
+        err = writer.stderr.read()
+        code = writer.wait(timeout=60)
+    assert err == b""
+    assert code == 0
 
 
 def test_examples_text(capsys):

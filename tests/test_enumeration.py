@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from magma_lab import enumeration
 from magma_lab.core import Magma, canonical_form
 from magma_lab.enumeration import (
     LATIN,
@@ -138,3 +139,34 @@ def test_worker_streams_identical():
 def test_worker_counts_identical():
     spec = EnumSpec(order=4, mode=LATIN)
     assert count(spec, workers=1) == count(spec, workers=2) == 576
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        """Runs the jobs in process and records the size it was asked for."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(enumeration, "Pool", FakePool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
+    spec = EnumSpec(order=3, mode=LATIN)  # 6 first-row jobs
+    serial = [m.table for m in tables(spec)]
+    assert [m.table for m in tables(spec, workers=64)] == serial
+    assert count(spec, workers=3) == len(serial) == 12
+    spec = EnumSpec(order=2)  # 4 first-row jobs
+    assert count(spec, workers=64) == 16
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+    assert count(spec, workers=64) == 16
+    assert sizes == [4, 3, 4]

@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 
-from magma_lab.core import magma_from_rows
+from magma_lab.core import Magma, magma_from_rows
+from magma_lab.enumeration import LATIN, EnumSpec, tables
 from magma_lab.laws import (
     ABELIAN,
     AGI,
@@ -27,6 +30,9 @@ from magma_lab.properties import (
     holds,
     local_identities,
 )
+from magma_lab.structures import example_suite
+
+from reference import has_inverses, is_latin, ref_holds
 
 Z3_ADD = magma_from_rows([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 Z3_SUB = magma_from_rows([[0, 2, 1], [1, 0, 2], [2, 1, 0]])
@@ -176,3 +182,33 @@ def test_classify_inverses_partial():
     rep = classify(meet4)
     assert rep.labels == ("magma", "commutative", "semigroup", "monoid")
     assert rep.inverses == (None, None, None, 3)
+
+
+def _structured_tables():
+    for n in (1, 2):
+        for raw in product(range(n), repeat=n * n):
+            yield Magma(n, raw)
+    # every order-3 table with neutral 0, where one-sided inverses occur
+    for a, b, c, d in product(range(3), repeat=4):
+        yield Magma(3, (0, 1, 2, 1, a, b, 2, c, d))
+    for n in (3, 4):
+        yield from tables(EnumSpec(order=n, mode=LATIN))
+    for rec in example_suite():
+        if rec.structure.kind == "finite":
+            yield rec.structure.magma
+
+
+def test_checkers_agree_on_structured_tables():
+    # random tables almost never have a neutral or a Latin square, so this
+    # set is where the true branches of NE, IN, H, CA and the composites run
+    for m in _structured_tables():
+        memo = {}
+        for law in ALL_LAWS:
+            want = ref_holds(m, law)
+            assert check_law(m, law).holds == want, (m.table, law.tag)
+            assert holds(m, law) == want, (m.table, law.tag)
+            assert holds(m, law, memo) == want, (m.table, law.tag)
+        rep = classify(m)
+        assert ("quasigroup" in rep.labels) == is_latin(m), m.table
+        complete = rep.inverses is not None and None not in rep.inverses
+        assert complete == has_inverses(m), m.table

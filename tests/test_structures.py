@@ -36,6 +36,11 @@ def test_default_window_params_keep_catalog_claims():
     assert s.params == (-5, 5)
     assert s.example == 4
     assert dict(s.claims)["AGI"] is True
+    # parameters outside the catalog: no example row and no claims, but the
+    # notes, which belong to the name, stay
+    off = builtin("zn_sub", 4)
+    assert (off.example, off.claims) == (0, ())
+    assert builtin("int_sub_window", -3, 3).notes == s.notes != ()
 
 
 def test_builtin_errors():
