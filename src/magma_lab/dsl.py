@@ -15,8 +15,12 @@ from __future__ import annotations
 
 import re
 
-from .laws import BY_NAME, Equation, Law, alpha_normalized, user_law
+from .laws import BY_NAME, Equation, Law, evaluate, user_law
 from .search import SearchSpec
+
+
+# Deepest parenthesis nesting the parser accepts; a '+' chain has no limit.
+MAX_DEPTH = 100
 
 
 class LawSyntaxError(ValueError):
@@ -44,6 +48,8 @@ def _parse_primary(s: str, i: int, depth: int):
         raise LawSyntaxError("empty side", i)
     ch = s[i]
     if ch == "(":
+        if depth >= MAX_DEPTH:
+            raise LawSyntaxError("parentheses nested too deeply", i)
         term, j = _parse_term(s, i + 1, depth + 1)
         j = _skip_ws(s, j)
         if j >= len(s) or s[j] != ")":
@@ -102,36 +108,29 @@ def parse_law(text: str) -> Law:
     return user_law(parse_equation(text))
 
 
-def format_term(term) -> str:
-    """Render a term, omitting parentheses that left associativity implies."""
-    if isinstance(term, str):
-        return term
-    left, right = term
-    left_s = format_term(left)
-    right_s = format_term(right)
-    if not isinstance(right, str):
-        right_s = f"({right_s})"
-    return f"{left_s} + {right_s}"
+def _join(left: str, right: str) -> str:
+    """left + right, with parentheses only where left association needs them."""
+    if " + " in right:
+        right = f"({right})"
+    return f"{left} + {right}"
 
 
 def format_law(law: Law) -> str:
     if law.tag != "USER":
         return law.tag
     eq = law.equation
-    return f"{format_term(eq.lhs)} = {format_term(eq.rhs)}"
+    return " = ".join(evaluate(eq.code, eq.variables, _join))
 
 
 def law_equal(a: Law, b: Law) -> bool:
     """Equality up to renaming of variables.
 
-    Equational laws compare by their alpha-normalized equations, so a USER
-    law can equal a built-in identity. Non-equational built-ins compare by
-    tag.
+    Equational laws compare by their compiled code, whose slots number the
+    variables by first occurrence, so a USER law can equal a built-in
+    identity. Non-equational built-ins compare by tag.
     """
     if a.equation is not None and b.equation is not None:
-        na = alpha_normalized(a.equation)
-        nb = alpha_normalized(b.equation)
-        return na.lhs == nb.lhs and na.rhs == nb.rhs
+        return a.equation.code == b.equation.code
     if a.equation is None and b.equation is None:
         return a.tag == b.tag
     return False

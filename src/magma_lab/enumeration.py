@@ -19,8 +19,8 @@ from itertools import permutations, product
 from multiprocessing import Pool
 from typing import Iterator
 
-from .core import Magma, canonical_form
-from .laws import Law
+from .core import CANONICAL_CAP, Magma, canonical_form
+from .laws import Law, check_assignment_cap
 from .properties import holds
 
 ALL_MAGMAS = "all-magmas"
@@ -29,7 +29,6 @@ LATIN = "latin-squares"
 _ALL_CAP_PLAIN = 3
 _ALL_CAP_CONSTRAINED = 4
 _LATIN_CAP = 6
-_ISO_CAP = 7
 
 MAX_ORDER_ENV = "MAGMA_LAB_MAX_ORDER"
 
@@ -91,43 +90,35 @@ def validate_spec(spec: EnumSpec) -> None:
             f"order {spec.order} exceeds the {spec.mode} cap {cap}; "
             f"set {MAX_ORDER_ENV} to override"
         )
-    if spec.up_to_iso and spec.order > _ISO_CAP:
-        raise InfeasibleError(f"up_to_iso needs order <= {_ISO_CAP}")
+    if spec.up_to_iso and spec.order > CANONICAL_CAP:
+        raise InfeasibleError(f"up_to_iso needs order <= {CANONICAL_CAP}")
+    check_assignment_cap([law.equation for law in eqs], spec.order, InfeasibleError)
 
 
-def _instances(eq_laws, n: int) -> list:
-    """Ground every equation: variables replaced by values, APPLY stays -1."""
+def _instances(programs, n: int) -> list:
+    """Ground every program: slots replaced by values, APPLY stays -1."""
     insts = []
-    for law in eq_laws:
-        eq = law.equation
-        k = len(eq.variables)
+    for k, code in programs:
         for env in product(range(n), repeat=k):
-            lhs = tuple(env[c] if c >= 0 else -1 for c in eq.lhs_code)
-            rhs = tuple(env[c] if c >= 0 else -1 for c in eq.rhs_code)
-            insts.append((lhs, rhs))
+            insts.append(tuple(env[c] if c >= 0 else -1 for c in code))
     return insts
 
 
 def _try_instance(inst, table, n: int) -> int:
-    """-1 satisfied, -2 violated, else the first unfilled cell the instance needs."""
-    left = -3
-    for side in inst:
-        stack = []
-        for c in side:
-            if c >= 0:
-                stack.append(c)
-            else:
-                b = stack.pop()
-                a = stack.pop()
-                v = table[a * n + b]
-                if v is None:
-                    return a * n + b
-                stack.append(v)
-        if left == -3:
-            left = stack[0]
-        elif left != stack[0]:
-            return -2
-    return -1
+    """-1 satisfied, -2 violated, else the first unfilled cell the instance
+    needs, the lhs's cells coming first."""
+    stack = []
+    for c in inst:
+        if c >= 0:
+            stack.append(c)
+        else:
+            b = stack.pop()
+            a = stack.pop()
+            v = table[a * n + b]
+            if v is None:
+                return a * n + b
+            stack.append(v)
+    return -1 if stack[0] == stack[1] else -2
 
 
 def _run(n: int, latin: bool, insts, prefix, non_latin: bool, collect) -> int:
@@ -245,26 +236,28 @@ def _prefixes(spec: EnumSpec):
 def _subtree(job):
     """Worker for one first-row prefix: its tables as flat tuples, or only
     their number when the job asks to count."""
-    spec, prefix, counting = job
-    n = spec.order
-    eqs, _ = _split_constraints(spec)
-    latin = spec.mode == LATIN
-    if not latin and not eqs and not spec.non_latin:
+    n, latin, non_latin, programs, prefix, counting = job
+    if not latin and not programs and not non_latin:
         rest = n * n - len(prefix)
         if counting:
             return n ** rest
         return [prefix + tail for tail in product(range(n), repeat=rest)]
     out = None if counting else []
-    accepted = _run(n, latin, _instances(eqs, n), prefix, spec.non_latin, out)
+    accepted = _run(n, latin, _instances(programs, n), prefix, non_latin, out)
     return accepted if counting else out
 
 
 def _subtrees(spec: EnumSpec, workers: int, counting: bool):
     """_subtree results for every first-row prefix, in first-row order.
 
-    The pool never gets more processes than there are CPUs or jobs.
+    A job carries the (arity, code) program of each equational constraint,
+    never a law or a term tree. The pool never gets more processes than
+    there are CPUs or jobs.
     """
-    jobs = [(spec, p, counting) for p in _prefixes(spec)]
+    eqs = [law.equation for law in _split_constraints(spec)[0]]
+    programs = tuple((len(eq.variables), eq.code) for eq in eqs)
+    head = (spec.order, spec.mode == LATIN, spec.non_latin, programs)
+    jobs = [head + (p, counting) for p in _prefixes(spec)]
     workers = min(workers, os.cpu_count() or 1, len(jobs))
     if workers <= 1:
         yield from map(_subtree, jobs)

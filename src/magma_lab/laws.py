@@ -7,64 +7,66 @@ quantified over their variables.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
 
 APPLY = -1
 
+# Most assignments (n ** variables, summed over the equations) that one
+# check, window or enumeration may evaluate or ground.
+ASSIGNMENT_CAP = 10_000_000
 
-def term_variables(term) -> list[str]:
-    """Variables in first-occurrence order, left side of a pair first."""
-    out: list[str] = []
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, str):
-            if t not in out:
-                out.append(t)
+
+def check_assignment_cap(equations, n: int, error=ValueError) -> None:
+    """Raise error when the equations take over ASSIGNMENT_CAP assignments at order n."""
+    total = sum(n ** len(eq.variables) for eq in equations)
+    if total > ASSIGNMENT_CAP:
+        raise error(f"{total} assignments at order {n} exceed the cap of {ASSIGNMENT_CAP}")
+
+
+def _compile(sides) -> tuple[tuple, tuple]:
+    """Variables in first-occurrence order, and the postfix program of both
+    sides in turn: a variable is its slot number, an operation is APPLY."""
+    slot: dict = {}
+    code: list = []
+    todo = list(reversed(sides))
+    while todo:
+        t = todo.pop()
+        if t == APPLY:
+            code.append(APPLY)
+        elif isinstance(t, str):
+            code.append(slot.setdefault(t, len(slot)))
         else:
-            stack.append(t[1])
-            stack.append(t[0])
-    return out
+            todo += (APPLY, t[1], t[0])
+    return tuple(slot), tuple(code)
 
 
-def _postfix(term, slot: dict) -> tuple:
-    if isinstance(term, str):
-        return (slot[term],)
-    return _postfix(term[0], slot) + _postfix(term[1], slot) + (APPLY,)
+def evaluate(code, env, op) -> list:
+    """Run a program: a slot pushes env[slot], APPLY pops y, x and pushes
+    op(x, y). An equation's code leaves [left, right]."""
+    stack: list = []
+    for c in code:
+        if c >= 0:
+            stack.append(env[c])
+        else:
+            b = stack.pop()
+            stack.append(op(stack.pop(), b))
+    return stack
 
 
 @dataclass(frozen=True)
 class Equation:
-    """An identity lhs = rhs between two terms."""
+    """An identity lhs = rhs between two terms. Equality and hashing read
+    the compiled form (variables, code), which holds the same information."""
 
-    lhs: object
-    rhs: object
-    variables: tuple = field(init=False, compare=False, repr=False)
-    lhs_code: tuple = field(init=False, compare=False, repr=False)
-    rhs_code: tuple = field(init=False, compare=False, repr=False)
+    lhs: object = field(compare=False)
+    rhs: object = field(compare=False)
+    variables: tuple = field(init=False, repr=False)
+    code: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        seen: list[str] = []
-        for v in term_variables(self.lhs) + term_variables(self.rhs):
-            if v not in seen:
-                seen.append(v)
-        slot = {v: i for i, v in enumerate(seen)}
-        object.__setattr__(self, "variables", tuple(seen))
-        object.__setattr__(self, "lhs_code", _postfix(self.lhs, slot))
-        object.__setattr__(self, "rhs_code", _postfix(self.rhs, slot))
-
-
-def _rename(term, mapping):
-    if isinstance(term, str):
-        return mapping[term]
-    return (_rename(term[0], mapping), _rename(term[1], mapping))
-
-
-def alpha_normalized(eq: Equation) -> Equation:
-    """Rename variables to a, b, c, ... by first occurrence."""
-    mapping = dict(zip(eq.variables, string.ascii_lowercase))
-    return Equation(_rename(eq.lhs, mapping), _rename(eq.rhs, mapping))
+        variables, code = _compile((self.lhs, self.rhs))
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "code", code)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .laws import (
     C,
     Equation,
     Law,
+    check_assignment_cap,
 )
 
 CLASS_LABELS = (
@@ -95,30 +96,19 @@ def _equation_failure(m: Magma, eq: Equation):
     """First assignment violating eq, or None. Shared by report and holds paths."""
     n = m.order
     t = m.table
-    lhs_code = eq.lhs_code
-    rhs_code = eq.rhs_code
+    code = eq.code
     stack: list[int] = []
     push = stack.append
     pop = stack.pop
     for env in product(range(n), repeat=len(eq.variables)):
         stack.clear()
-        for c in lhs_code:
+        for c in code:
             if c >= 0:
                 push(env[c])
             else:
                 b = pop()
-                a = pop()
-                push(t[a * n + b])
-        left = stack[0]
-        stack.clear()
-        for c in rhs_code:
-            if c >= 0:
-                push(env[c])
-            else:
-                b = pop()
-                a = pop()
-                push(t[a * n + b])
-        if left != stack[0]:
+                push(t[pop() * n + b])
+        if stack[0] != stack[1]:
             return env
     return None
 
@@ -127,6 +117,7 @@ def check_identity_law(m: Magma, law: Law) -> CheckReport:
     """Check a purely equational law over all assignments."""
     if law.equation is None:
         raise ValueError(f"law {law.tag} is not purely equational")
+    check_assignment_cap((law.equation,), m.order)
     env = _equation_failure(m, law.equation)
     if env is None:
         return CheckReport(m.order, law, True)
@@ -153,15 +144,19 @@ def _inverse_scan(m: Magma, e: int):
         )
 
 
-def check_inverses(m: Magma, e: int) -> CheckReport:
-    """Check that every element has a two-sided inverse for the neutral e."""
-    rep = find_neutrals(m)
-    if rep.two_sided != e:
-        raise ValueError(f"element {e} is not a two-sided neutral")
+def _inverse_report(m: Magma, e: int) -> CheckReport:
+    """The IN report for e, which the caller knows to be the two-sided neutral."""
     for a, b in enumerate(_inverse_scan(m, e)):
         if b is None:
             return CheckReport(m.order, IN, False, {"a": a}, {"neutral": e})
     return CheckReport(m.order, IN, True, None, {"neutral": e})
+
+
+def check_inverses(m: Magma, e: int) -> CheckReport:
+    """Check that every element has a two-sided inverse for the neutral e."""
+    if find_neutrals(m).two_sided != e:
+        raise ValueError(f"element {e} is not a two-sided neutral")
+    return _inverse_report(m, e)
 
 
 def check_H(m: Magma) -> CheckReport:
@@ -239,7 +234,7 @@ def check_law(m: Magma, law: Law) -> CheckReport:
         rep = find_neutrals(m)
         if rep.two_sided is None:
             return CheckReport(m.order, law, False, None, {"missing": "NE"})
-        return check_inverses(m, rep.two_sided)
+        return _inverse_report(m, rep.two_sided)
     if tag == "H":
         return check_H(m)
     if tag == "CA":
@@ -286,7 +281,7 @@ def holds(m: Magma, law: Law, memo: dict | None = None) -> bool:
         result = find_neutrals(m).two_sided is not None
     elif tag == "IN":
         e = find_neutrals(m).two_sided
-        result = e is not None and check_inverses(m, e).holds
+        result = e is not None and _inverse_report(m, e).holds
     elif tag == "H":
         result = check_H(m).holds
     elif tag == "CA":

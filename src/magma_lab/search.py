@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Magma
-from .enumeration import ALL_MAGMAS, LATIN, EnumSpec, tables, validate_spec
-from .laws import Law
+from .enumeration import ALL_MAGMAS, LATIN, EnumSpec, InfeasibleError, tables, validate_spec
+from .laws import Law, check_assignment_cap
 from .properties import holds
 
 
@@ -55,11 +55,14 @@ def _enum_spec(spec: SearchSpec, order: int) -> EnumSpec:
 
 def find_model(spec: SearchSpec, workers: int = 1) -> SearchResult:
     """First magma, in order-then-table order, meeting every assumption and
-    failing the refuted law. Feasibility of every order in the range is
-    checked up front so a late cap error cannot waste the early orders."""
+    failing the refuted law. Feasibility of every order in the range, and
+    of checking the refuted law at the top order, is checked up front so a
+    late cap error cannot waste the early orders."""
     lo, hi = spec.orders
     if lo < 1 or hi < lo:
         raise ValueError(f"bad order range {lo}..{hi}")
+    if spec.refute.is_equational:
+        check_assignment_cap((spec.refute.equation,), hi, InfeasibleError)
     especs = [_enum_spec(spec, order) for order in range(lo, hi + 1)]
     for es in especs:
         validate_spec(es)

@@ -17,10 +17,8 @@ from itertools import product
 from typing import Any, Callable
 
 from .core import Magma, magma_from_rows
-from .laws import BY_NAME, Equation, Law
+from .laws import ASSIGNMENT_CAP, BY_NAME, Law, evaluate
 from .properties import NeutralReport, find_neutrals, holds
-
-ASSIGNMENT_CAP = 10_000_000
 
 ALL = "all"  # solver sentinel: every carrier element solves the equation
 
@@ -265,20 +263,14 @@ def builtin(name: str, *params) -> BuiltinStructure:
     raise ValueError(f"unknown structure {name!r}")
 
 
-def _eval_term(term, env, op):
-    if isinstance(term, str):
-        return env[term]
-    return op(_eval_term(term[0], env, op), _eval_term(term[1], env, op))
-
-
 def _check_equation(w: WindowedOp, law: Law, window) -> WindowedReport:
     eq = law.equation
     names = eq.variables
     if len(window) ** len(names) > ASSIGNMENT_CAP:
         raise ValueError("window too large for this equation")
     for values in product(window, repeat=len(names)):
-        env = dict(zip(names, values))
-        if _eval_term(eq.lhs, env, w.op) != _eval_term(eq.rhs, env, w.op):
+        left, right = evaluate(eq.code, values, w.op)
+        if left != right:
             return WindowedReport(law, False, "genuine",
                                   witness=tuple(zip(names, values)))
     return WindowedReport(law, True, "necessary-condition only")

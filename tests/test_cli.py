@@ -398,3 +398,48 @@ def test_enumerate_workers_agree(capsys):
     _, par, _ = run(capsys, "enumerate", "--order", "3", "--mode", "latin",
                     "--workers", "2")
     assert par == base
+
+
+LONG_CHAIN = " + ".join(["a"] * 3000) + " = a"
+WIDE = " + ".join("abcdefghijklmno") + " = a"  # 15 variables: 3^15 assignments at order 3
+
+
+def test_long_chain_law_checks(write_table, capsys):
+    path = write_table(ZN_ADD_2)
+    code, out, err = run(capsys, "check", "--table", path, "--law", LONG_CHAIN)
+    assert code == 1
+    assert out == f"{LONG_CHAIN}: fails witness a=1\n"
+    assert "Traceback" not in err
+
+
+def test_long_chain_law_searches_alike_at_any_worker_count(capsys):
+    argv = ("search", "--assume", LONG_CHAIN, "--refute", "A", "--orders", "1..3")
+    code, base, err = run(capsys, *argv, "--workers", "1")
+    assert code == 0
+    assert base.startswith("found at order 3 after examining 7 structures\n")
+    assert run(capsys, *argv, "--workers", "2") == (0, base, err)
+
+
+def test_deep_parentheses_exit_2(write_table, capsys):
+    path = write_table(ZN_ADD_2)
+    law = "(" * 2000 + "a" + ")" * 2000 + " = a"
+    code, out, err = run(capsys, "check", "--table", path, "--law", law)
+    assert code == 2
+    assert out == ""
+    assert "parentheses nested too deeply at offset 100" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--order", "3", "--assume", WIDE),
+    ("check", "--table", "ZN_SUB_3", "--law", WIDE),
+    ("search", "--assume", WIDE, "--refute", "A", "--orders", "1..3"),
+    ("search", "--assume", "A", "--refute", WIDE, "--orders", "1..3"),
+])
+def test_assignment_cap_exits_2(write_table, capsys, argv):
+    argv = [write_table(ZN_SUB_3) if a == "ZN_SUB_3" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "14348907 assignments at order 3 exceed the cap of 10000000" in err
+    assert "Traceback" not in err

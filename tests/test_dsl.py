@@ -1,6 +1,12 @@
-import pytest
+import string
+from itertools import product
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from magma_lab.core import Magma
 from magma_lab.dsl import (
+    MAX_DEPTH,
     LawSyntaxError,
     format_law,
     law_equal,
@@ -8,7 +14,37 @@ from magma_lab.dsl import (
     parse_law,
     parse_spec,
 )
-from magma_lab.laws import AGI, BY_NAME, CAI, CAII, C, EQUATIONAL_LAWS, H, NE
+from magma_lab.laws import AGI, BY_NAME, CAI, CAII, C, EQUATIONAL_LAWS, H, NE, Equation, user_law
+from magma_lab.properties import check_law
+
+from reference import equation_holds, eval_term
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+terms = st.recursive(
+    st.sampled_from("abcde"), lambda sub: st.tuples(sub, sub), max_leaves=8
+)
+user_laws = st.builds(lambda lhs, rhs: user_law(Equation(lhs, rhs)), terms, terms)
+
+
+def _rename(term, mapping):
+    if isinstance(term, str):
+        return mapping[term]
+    return (_rename(term[0], mapping), _rename(term[1], mapping))
+
+
+def _leaves(term):
+    if isinstance(term, str):
+        return [term]
+    return _leaves(term[0]) + _leaves(term[1])
+
+
+def _naive_normal_form(law):
+    """Both trees with variables renamed a, b, c, ... by first occurrence."""
+    eq = law.equation
+    order = list(dict.fromkeys(_leaves(eq.lhs) + _leaves(eq.rhs)))
+    mapping = dict(zip(order, string.ascii_lowercase))
+    return _rename(eq.lhs, mapping), _rename(eq.rhs, mapping)
 
 
 def test_builtin_names():
@@ -126,3 +162,58 @@ def test_spec_error_offsets_are_absolute():
     with pytest.raises(LawSyntaxError) as info:
         parse_spec(text)
     assert text[info.value.offset] == "="
+
+
+def test_nesting_limit():
+    deep = "(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH + " = a"
+    assert parse_law(deep).equation == parse_equation("a = a")
+    with pytest.raises(LawSyntaxError, match="parentheses nested too deeply") as info:
+        parse_law("(" + deep)
+    assert info.value.offset == MAX_DEPTH
+
+
+@PROPERTY
+@given(user_laws)
+def test_format_parse_round_trip(law):
+    assert parse_law(format_law(law)).equation == law.equation
+
+
+@PROPERTY
+@given(
+    user_laws,
+    user_laws,
+    st.lists(st.sampled_from(string.ascii_lowercase), min_size=5, max_size=5, unique=True),
+    st.lists(st.sampled_from("abcde"), min_size=5, max_size=5),
+)
+def test_law_equal_is_equality_up_to_renaming(law, other, injective, any_map):
+    def renamed(letters):
+        mapping = dict(zip("abcde", letters))
+        eq = law.equation
+        return user_law(Equation(_rename(eq.lhs, mapping), _rename(eq.rhs, mapping)))
+
+    assert law_equal(law, renamed(injective))
+    # a non-injective renaming may merge variables: equal only if the naive forms agree
+    for b in (other, renamed(any_map)):
+        assert law_equal(law, b) == (_naive_normal_form(law) == _naive_normal_form(b))
+
+
+tables_1_to_4 = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(
+        lambda t: Magma(n, t)
+    )
+)
+
+
+@PROPERTY
+@given(user_laws, tables_1_to_4)
+def test_check_law_matches_naive_scan(law, m):
+    eq = law.equation
+    first = None
+    for values in product(range(m.order), repeat=len(eq.variables)):
+        env = dict(zip(eq.variables, values))
+        if eval_term(eq.lhs, env, m) != eval_term(eq.rhs, env, m):
+            first = env
+            break
+    rep = check_law(m, law)
+    assert rep.holds == equation_holds(m, eq) == (first is None)
+    assert rep.witness == first

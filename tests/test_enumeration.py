@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magma_lab import enumeration
 from magma_lab.core import Magma, canonical_form
@@ -12,9 +13,12 @@ from magma_lab.enumeration import (
     count,
     tables,
 )
-from magma_lab.laws import CAI, H, IN, NE, R, A, C
+from magma_lab.dsl import parse_law
+from magma_lab.laws import CAI, H, IN, NE, R, A, C, Equation, user_law
 
 from reference import is_latin, ref_holds
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
 
 def test_all_magmas_counts():
@@ -141,11 +145,9 @@ def test_worker_counts_identical():
     assert count(spec, workers=1) == count(spec, workers=2) == 576
 
 
-def test_pool_size_is_clamped(monkeypatch):
-    sizes = []
-
+def _fake_pool(sizes, jobs):
     class FakePool:
-        """Runs the jobs in process and records the size it was asked for."""
+        """Runs the jobs in process and records its size and the jobs."""
 
         def __init__(self, processes):
             sizes.append(processes)
@@ -156,10 +158,17 @@ def test_pool_size_is_clamped(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
+        def imap(self, fn, todo, chunksize=1):
+            todo = list(todo)
+            jobs.extend(todo)
+            return map(fn, todo)
 
-    monkeypatch.setattr(enumeration, "Pool", FakePool)
+    return FakePool
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(enumeration, "Pool", _fake_pool(sizes, []))
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
     spec = EnumSpec(order=3, mode=LATIN)  # 6 first-row jobs
     serial = [m.table for m in tables(spec)]
@@ -170,3 +179,47 @@ def test_pool_size_is_clamped(monkeypatch):
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
     assert count(spec, workers=64) == 16
     assert sizes == [4, 3, 4]
+
+
+def test_equational_constraints_have_an_instance_cap():
+    wide = parse_law(" + ".join("abcdefghijklmno") + " = a")  # 3^15 instances
+    with pytest.raises(InfeasibleError, match="14348907 assignments at order 3"):
+        count(EnumSpec(order=3, constraints=(wide,)))
+    # 3^14 instances each, over the cap only when summed
+    narrow = parse_law(" + ".join("abcdefghijklmn") + " = a")
+    with pytest.raises(InfeasibleError, match="assignments at order 3 exceed the cap of 10000000"):
+        count(EnumSpec(order=3, constraints=(narrow, C, narrow, narrow)))
+
+
+def test_pool_jobs_carry_programs_not_laws(monkeypatch):
+    jobs = []
+    monkeypatch.setattr(enumeration, "Pool", _fake_pool([], jobs))
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    spec = EnumSpec(order=3, constraints=(CAI,))
+    assert count(spec, workers=2) == count(spec)
+    assert len(jobs) == 27
+    for order, latin, non_latin, programs, prefix, counting in jobs:
+        assert (order, latin, non_latin, counting) == (3, False, False, True)
+        assert programs == ((3, CAI.equation.code),)
+        assert len(prefix) == 3
+
+
+_STREAMS: dict = {}
+
+
+def _unconstrained(n):
+    if n not in _STREAMS:
+        _STREAMS[n] = list(tables(EnumSpec(order=n)))
+    return _STREAMS[n]
+
+
+small_terms = st.recursive(st.sampled_from("abc"), lambda sub: st.tuples(sub, sub), max_leaves=5)
+equations = st.builds(lambda lhs, rhs: user_law(Equation(lhs, rhs)), small_terms, small_terms)
+
+
+@settings(PROPERTY, max_examples=20)  # an order-3 example filters 19,683 tables
+@given(st.lists(equations, min_size=1, max_size=2), st.sampled_from((2, 3)))
+def test_constrained_stream_equals_filtered_stream(laws, n):
+    got = [m.table for m in tables(EnumSpec(order=n, constraints=tuple(laws)))]
+    want = [m.table for m in _unconstrained(n) if all(ref_holds(m, law) for law in laws)]
+    assert got == want

@@ -2,7 +2,9 @@ from itertools import product
 
 import pytest
 
+from magma_lab import properties
 from magma_lab.core import Magma, magma_from_rows
+from magma_lab.dsl import parse_law
 from magma_lab.enumeration import LATIN, EnumSpec, tables
 from magma_lab.laws import (
     ABELIAN,
@@ -30,7 +32,7 @@ from magma_lab.properties import (
     holds,
     local_identities,
 )
-from magma_lab.structures import example_suite
+from magma_lab.structures import example_suite, zn_add
 
 from reference import has_inverses, is_latin, ref_holds
 
@@ -90,6 +92,29 @@ def test_inverses_missing_witness():
     assert not rep.holds
     assert rep.witness == {"a": 0}
     assert rep.detail == {"neutral": 3}
+
+
+def test_in_scans_for_neutrals_once(monkeypatch):
+    calls = []
+    real = properties.find_neutrals
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(properties, "find_neutrals", counted)
+    assert holds(zn_add(5), IN)
+    assert len(calls) == 1
+    calls.clear()
+    assert check_law(zn_add(5), IN).holds
+    assert len(calls) == 1
+
+
+def test_identity_check_has_an_assignment_cap():
+    wide = parse_law(" + ".join("abcdefghijklmno") + " = a")  # 15 variables
+    with pytest.raises(ValueError, match="14348907 assignments at order 3 exceed the cap"):
+        check_identity_law(Z3_ADD, wide)
+    assert check_law(PROJ1, wide).holds  # 2^15 assignments are within the cap
 
 
 def test_check_H():
