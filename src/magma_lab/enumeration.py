@@ -15,20 +15,22 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product
 from multiprocessing import Pool
 from typing import Iterator
 
 from .core import CANONICAL_CAP, Magma, canonical_form
-from .laws import Law, check_assignment_cap
+from .laws import Law, check_assignment_cap, is_tautology
 from .properties import holds
 
 ALL_MAGMAS = "all-magmas"
 LATIN = "latin-squares"
 
-_ALL_CAP_PLAIN = 3
-_ALL_CAP_CONSTRAINED = 4
-_LATIN_CAP = 6
+# The largest order each mode enumerates without an equational constraint.
+# A constraint that is not a tautology prunes the search, which buys one
+# order more.
+_PLAIN_CAP = {ALL_MAGMAS: 3, LATIN: 5}
 
 MAX_ORDER_ENV = "MAGMA_LAB_MAX_ORDER"
 
@@ -58,8 +60,9 @@ def _split_constraints(spec: EnumSpec):
     return eqs, post
 
 
-def _order_cap(default: int) -> int:
-    """The largest order allowed: MAGMA_LAB_MAX_ORDER when set, else default.
+def order_cap(mode: str, constrained: bool = False) -> int:
+    """The largest order allowed in a mode: MAGMA_LAB_MAX_ORDER when set,
+    else the mode's plain cap, plus one when constrained.
 
     The one reading of the override, shared by enumeration and the
     theorem sweeps.
@@ -70,7 +73,7 @@ def _order_cap(default: int) -> int:
             return int(env)
         except ValueError:
             raise InfeasibleError(f"bad {MAX_ORDER_ENV} value {env!r}") from None
-    return default
+    return _PLAIN_CAP[mode] + 1 if constrained else _PLAIN_CAP[mode]
 
 
 def validate_spec(spec: EnumSpec) -> None:
@@ -81,10 +84,7 @@ def validate_spec(spec: EnumSpec) -> None:
     if spec.non_latin and spec.mode == LATIN:
         raise InfeasibleError("non_latin contradicts latin-squares mode")
     eqs, _ = _split_constraints(spec)
-    if spec.mode == LATIN:
-        cap = _order_cap(_LATIN_CAP)
-    else:
-        cap = _order_cap(_ALL_CAP_CONSTRAINED if eqs else _ALL_CAP_PLAIN)
+    cap = order_cap(spec.mode, any(not is_tautology(law.equation) for law in eqs))
     if spec.order > cap:
         raise InfeasibleError(
             f"order {spec.order} exceeds the {spec.mode} cap {cap}; "
@@ -95,13 +95,17 @@ def validate_spec(spec: EnumSpec) -> None:
     check_assignment_cap([law.equation for law in eqs], spec.order, InfeasibleError)
 
 
-def _instances(programs, n: int) -> list:
-    """Ground every program: slots replaced by values, APPLY stays -1."""
-    insts = []
-    for k, code in programs:
-        for env in product(range(n), repeat=k):
-            insts.append(tuple(env[c] if c >= 0 else -1 for c in code))
-    return insts
+@lru_cache(maxsize=1)
+def _instances(programs, n: int) -> tuple:
+    """Ground every program: slots replaced by values, APPLY stays -1.
+
+    Cached, so a process grounds a spec once for all its first-row jobs.
+    """
+    return tuple(
+        tuple(env[c] if c >= 0 else -1 for c in code)
+        for k, code in programs
+        for env in product(range(n), repeat=k)
+    )
 
 
 def _try_instance(inst, table, n: int) -> int:
@@ -122,16 +126,18 @@ def _try_instance(inst, table, n: int) -> int:
 
 
 def _run(n: int, latin: bool, insts, prefix, non_latin: bool, collect) -> int:
-    """Backtrack over cells in row-major order. Returns the number of tables
-    accepted; appends flat tuples to collect when it is a list."""
+    """Backtrack over cells in row-major order, the first cells fixed to
+    prefix. Returns the number of tables accepted; appends flat tuples to
+    collect when it is a list."""
     n2 = n * n
     table: list = [None] * n2
     full = (1 << n) - 1
     row_used = [0] * n
     col_used = [0] * n
     parked: dict[int, list] = {}
+    fixed = len(prefix)
+    values = range(n)
     count = 0
-    dup_count = 0
 
     for inst in insts:
         res = _try_instance(inst, table, n)
@@ -141,55 +147,45 @@ def _run(n: int, latin: bool, insts, prefix, non_latin: bool, collect) -> int:
             parked.setdefault(res, []).append(inst)
 
     def place(pos: int, v: int):
-        nonlocal dup_count
+        """Fill pos with v and re-examine the instances parked on it; None
+        when one is violated, with the placement undone."""
         r, c = divmod(pos, n)
-        bit = 1 << v
         ru = row_used[r]
         cu = col_used[c]
-        dup = 1 if (ru & bit) or (cu & bit) else 0
-        rowbit = bit & ~ru
-        colbit = bit & ~cu
         table[pos] = v
-        row_used[r] = ru | bit
-        col_used[c] = cu | bit
-        dup_count += dup
+        row_used[r] = ru | (1 << v)
+        col_used[c] = cu | (1 << v)
         pend = parked.pop(pos, None)
-        moved = None
-        if pend is not None:
-            moved = []
-            for inst in pend:
-                res = _try_instance(inst, table, n)
-                if res == -2:
-                    for cell in reversed(moved):
-                        parked[cell].pop()
-                    parked[pos] = pend
-                    row_used[r] ^= rowbit
-                    col_used[c] ^= colbit
-                    dup_count -= dup
-                    table[pos] = None
-                    return None
-                if res >= 0:
-                    parked.setdefault(res, []).append(inst)
-                    moved.append(res)
-        return (r, c, rowbit, colbit, dup, moved, pend)
+        if pend is None:
+            return (r, c, ru, cu, None, None)
+        moved: list = []
+        tok = (r, c, ru, cu, moved, pend)
+        for inst in pend:
+            res = _try_instance(inst, table, n)
+            if res == -2:
+                unplace(pos, tok)
+                return None
+            if res >= 0:
+                parked.setdefault(res, []).append(inst)
+                moved.append(res)
+        return tok
 
     def unplace(pos: int, tok) -> None:
-        nonlocal dup_count
-        r, c, rowbit, colbit, dup, moved, pend = tok
-        if moved is not None:
+        r, c, ru, cu, moved, pend = tok
+        if pend is not None:
             for cell in reversed(moved):
                 parked[cell].pop()
-        if pend is not None:
             parked[pos] = pend
-        row_used[r] ^= rowbit
-        col_used[c] ^= colbit
-        dup_count -= dup
+        row_used[r] = ru
+        col_used[c] = cu
         table[pos] = None
 
     def go(pos: int) -> None:
         nonlocal count
         if pos == n2:
-            if non_latin and dup_count == 0:
+            # A full table is Latin exactly when every row and column uses
+            # every value.
+            if non_latin and row_used.count(full) == n and col_used.count(full) == n:
                 return
             count += 1
             if collect is not None:
@@ -198,6 +194,8 @@ def _run(n: int, latin: bool, insts, prefix, non_latin: bool, collect) -> int:
         if latin:
             r, c = divmod(pos, n)
             avail = full & ~(row_used[r] | col_used[c])
+            if pos < fixed:
+                avail &= 1 << prefix[pos]
             while avail:
                 bit = avail & -avail
                 avail ^= bit
@@ -206,23 +204,13 @@ def _run(n: int, latin: bool, insts, prefix, non_latin: bool, collect) -> int:
                     go(pos + 1)
                     unplace(pos, tok)
         else:
-            for v in range(n):
+            for v in ((prefix[pos],) if pos < fixed else values):
                 tok = place(pos, v)
                 if tok is not None:
                     go(pos + 1)
                     unplace(pos, tok)
 
-    start = 0
-    for v in prefix or ():
-        if latin:
-            r, c = divmod(start, n)
-            if (row_used[r] | col_used[c]) & (1 << v):
-                return 0
-        tok = place(start, v)
-        if tok is None:
-            return 0
-        start += 1
-    go(start)
+    go(0)
     return count
 
 
@@ -237,11 +225,6 @@ def _subtree(job):
     """Worker for one first-row prefix: its tables as flat tuples, or only
     their number when the job asks to count."""
     n, latin, non_latin, programs, prefix, counting = job
-    if not latin and not programs and not non_latin:
-        rest = n * n - len(prefix)
-        if counting:
-            return n ** rest
-        return [prefix + tail for tail in product(range(n), repeat=rest)]
     out = None if counting else []
     accepted = _run(n, latin, _instances(programs, n), prefix, non_latin, out)
     return accepted if counting else out

@@ -69,6 +69,14 @@ class Equation:
         object.__setattr__(self, "code", code)
 
 
+def is_tautology(eq: Equation) -> bool:
+    """True when the two sides are the same term, the only identity that
+    holds in every magma. Equal sides compile to equal halves of code, and
+    two equal halves can only split the program where the lhs ends."""
+    half = len(eq.code) // 2
+    return eq.code[:half] == eq.code[half:]
+
+
 @dataclass(frozen=True)
 class Law:
     """A checkable property: a named built-in or a user equation."""

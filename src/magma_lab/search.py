@@ -34,22 +34,13 @@ class SearchResult:
     order_found: int | None
 
 
-def _enum_spec(spec: SearchSpec, order: int) -> EnumSpec:
-    latin = any(law.tag == "H" for law in spec.assume)
-    if latin:
-        constraints = tuple(law for law in spec.assume if law.tag != "H")
-        mode = LATIN
-        non_latin = False
-    else:
-        constraints = spec.assume
-        mode = ALL_MAGMAS
-        non_latin = spec.refute.tag == "H"
+def _enum_spec(spec: SearchSpec, order: int, assumes_h: bool) -> EnumSpec:
     return EnumSpec(
         order=order,
-        mode=mode,
-        constraints=constraints,
+        mode=LATIN if assumes_h else ALL_MAGMAS,
+        constraints=tuple(law for law in spec.assume if law.tag != "H"),
         up_to_iso=spec.up_to_iso,
-        non_latin=non_latin,
+        non_latin=not assumes_h and spec.refute.tag == "H",
     )
 
 
@@ -63,14 +54,14 @@ def find_model(spec: SearchSpec, workers: int = 1) -> SearchResult:
         raise ValueError(f"bad order range {lo}..{hi}")
     if spec.refute.is_equational:
         check_assignment_cap((spec.refute.equation,), hi, InfeasibleError)
-    especs = [_enum_spec(spec, order) for order in range(lo, hi + 1)]
+    assumes_h = any(law.tag == "H" for law in spec.assume)
+    especs = [_enum_spec(spec, order, assumes_h) for order in range(lo, hi + 1)]
     for es in especs:
         validate_spec(es)
-    assumes_h = any(law.tag == "H" for law in spec.assume)
+    if assumes_h and spec.refute.tag == "H":
+        return SearchResult(spec, None, 0, None)
     examined = 0
     for es in especs:
-        if assumes_h and spec.refute.tag == "H":
-            continue
         for m in tables(es, workers):
             examined += 1
             if not holds(m, spec.refute):

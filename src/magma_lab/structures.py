@@ -219,14 +219,6 @@ _FINITE_FAMILIES = {
     "chain_join": chain_join,
 }
 
-STRUCTURE_NAMES = tuple(sorted(_FINITE_FAMILIES)) + (
-    "trivalent_equiv",
-    "int_sub_window",
-    "nat_add_window",
-    "prob_star",
-)
-
-
 def _finish(name, params, kind, magma=None, windowed=None) -> BuiltinStructure:
     example, claims = _CATALOG.get((name, params), (0, ()))
     return BuiltinStructure(

@@ -18,16 +18,15 @@ from .enumeration import (
     MAX_ORDER_ENV,
     EnumSpec,
     InfeasibleError,
-    _order_cap,
+    order_cap,
     tables,
 )
 from .laws import A, ABELIAN, AGI, AGII, C, CA, CAI, CAII, H, IN, LOOP, NE, R, Law
 from .properties import holds
 
-_ALL_CAP = 3
-_QUASI_CAP = 5
-
 QUASIGROUPS = "quasigroups"
+
+_MODE = {ALL_MAGMAS: ALL_MAGMAS, QUASIGROUPS: LATIN}
 
 
 @dataclass(frozen=True)
@@ -143,12 +142,6 @@ CATALOG = theorem_catalog()
 BY_ID = {t.id: t for t in CATALOG}
 
 
-def _domain_stream(domain: str, max_order: int):
-    mode = LATIN if domain == QUASIGROUPS else ALL_MAGMAS
-    for order in range(1, max_order + 1):
-        yield from tables(EnumSpec(order=order, mode=mode))
-
-
 def verify_theorems(specs, max_order: int) -> list[VerificationReport]:
     """Check several theorems in one sweep per domain, sharing the stream
     and a per-structure law cache. Counterexamples are the first hit in
@@ -157,7 +150,7 @@ def verify_theorems(specs, max_order: int) -> list[VerificationReport]:
         raise ValueError(f"max order must be positive, got {max_order}")
     specs = list(specs)
     for spec in specs:
-        cap = _order_cap(_QUASI_CAP if spec.domain == QUASIGROUPS else _ALL_CAP)
+        cap = order_cap(_MODE[spec.domain])
         if max_order > cap:
             raise InfeasibleError(
                 f"{spec.id} over {spec.domain} caps at order {cap}; "
@@ -174,18 +167,19 @@ def verify_theorems(specs, max_order: int) -> list[VerificationReport]:
         # A Latin stream settles H up front. CA is left to be decided: that
         # H implies CA is T7, which the sweep is there to test.
         seed = {H.tag: True} if domain == QUASIGROUPS else {}
-        for m in _domain_stream(domain, max_order):
-            examined += 1
-            memo = dict(seed)
-            for spec in batch:
-                if spec.id in hits:
-                    continue
-                for br in spec.branches:
-                    if not all(holds(m, p, memo) for p in br.premises):
+        for order in range(1, max_order + 1):
+            for m in tables(EnumSpec(order=order, mode=_MODE[domain])):
+                examined += 1
+                memo = dict(seed)
+                for spec in batch:
+                    if spec.id in hits:
                         continue
-                    if not all(holds(m, c, memo) for c in br.conclusions):
-                        hits[spec.id] = (m, br.label)
-                        break
+                    for br in spec.branches:
+                        if not all(holds(m, p, memo) for p in br.premises):
+                            continue
+                        if not all(holds(m, c, memo) for c in br.conclusions):
+                            hits[spec.id] = (m, br.label)
+                            break
         elapsed = time.monotonic() - started
         for spec in batch:
             cx, label = hits.get(spec.id, (None, None))

@@ -183,6 +183,20 @@ def test_enumerate_over_cap(capsys):
     assert "exceeds the all-magmas cap 3" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--order", "6", "--mode", "latin"), "exceeds the latin-squares cap 5"),
+    (("--order", "4", "--assume", "a = a"), "exceeds the all-magmas cap 3"),
+    (("--order", "4", "--assume", "a + b = a + b"), "exceeds the all-magmas cap 3"),
+])
+def test_count_over_cap_exits_2(capsys, argv, message):
+    # a tautology prunes nothing, so it does not raise the cap
+    code, out, err = run(capsys, "count", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_count_latin_4(capsys):
     code, out, _ = run(capsys, "count", "--order", "4", "--mode", "latin")
     assert code == 0

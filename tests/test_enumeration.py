@@ -12,9 +12,10 @@ from magma_lab.enumeration import (
     InfeasibleError,
     count,
     tables,
+    validate_spec,
 )
 from magma_lab.dsl import parse_law
-from magma_lab.laws import CAI, H, IN, NE, R, A, C, Equation, user_law
+from magma_lab.laws import CAI, H, IN, NE, R, A, C, Equation, is_tautology, user_law
 
 from reference import is_latin, ref_holds
 
@@ -77,11 +78,18 @@ def test_order_4_needs_equational_constraint():
     with pytest.raises(InfeasibleError, match="exceeds the all-magmas cap"):
         count(EnumSpec(order=4))
     assert count(EnumSpec(order=4, constraints=(CAI,))) == 5724
+    # a tautology prunes nothing, so it does not lift the cap
+    for law in ("a = a", "a + b = a + b"):
+        with pytest.raises(InfeasibleError, match="exceeds the all-magmas cap 3"):
+            count(EnumSpec(order=4, constraints=(parse_law(law),)))
 
 
 def test_latin_cap():
     with pytest.raises(InfeasibleError, match="exceeds the latin-squares cap"):
         count(EnumSpec(order=7, mode=LATIN))
+    with pytest.raises(InfeasibleError, match="exceeds the latin-squares cap 5"):
+        count(EnumSpec(order=6, mode=LATIN))
+    validate_spec(EnumSpec(order=6, mode=LATIN, constraints=(CAI,)))
 
 
 def test_env_override_replaces_cap(monkeypatch):
@@ -218,8 +226,19 @@ equations = st.builds(lambda lhs, rhs: user_law(Equation(lhs, rhs)), small_terms
 
 
 @settings(PROPERTY, max_examples=20)  # an order-3 example filters 19,683 tables
-@given(st.lists(equations, min_size=1, max_size=2), st.sampled_from((2, 3)))
-def test_constrained_stream_equals_filtered_stream(laws, n):
-    got = [m.table for m in tables(EnumSpec(order=n, constraints=tuple(laws)))]
-    want = [m.table for m in _unconstrained(n) if all(ref_holds(m, law) for law in laws)]
+@given(st.lists(equations, min_size=1, max_size=2), st.sampled_from((2, 3)), st.booleans())
+def test_constrained_stream_equals_filtered_stream(laws, n, non_latin):
+    spec = EnumSpec(order=n, constraints=tuple(laws), non_latin=non_latin)
+    got = [m.table for m in tables(spec)]
+    want = [
+        m.table for m in _unconstrained(n)
+        if all(ref_holds(m, law) for law in laws) and not (non_latin and ref_holds(m, H))
+    ]
     assert got == want
+
+
+@settings(PROPERTY, max_examples=200)
+@given(small_terms, small_terms, st.booleans())
+def test_tautology_means_equal_sides(lhs, rhs, same):
+    rhs = lhs if same else rhs
+    assert is_tautology(Equation(lhs, rhs)) == (lhs == rhs)

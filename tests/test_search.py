@@ -1,5 +1,6 @@
 import pytest
 
+from magma_lab import search
 from magma_lab.core import canonical_form
 from magma_lab.dsl import parse_spec
 from magma_lab.enumeration import InfeasibleError
@@ -33,6 +34,18 @@ def test_refuting_an_assumption_is_vacuous():
     res = find_model(SearchSpec(assume=(H,), refute=H, orders=(1, 4)))
     assert res.found is None
     assert res.examined == 0
+
+
+def test_assuming_and_refuting_h_streams_nothing(monkeypatch):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a search that assumes and refutes H streamed tables")
+
+    monkeypatch.setattr(search, "tables", no_tables)
+    res = find_model(SearchSpec(assume=(H, CAI), refute=H, orders=(1, 5)))
+    assert (res.found, res.examined, res.order_found) == (None, 0, None)
+    # the caps are still checked for the whole range first
+    with pytest.raises(InfeasibleError, match="exceeds the latin-squares cap 6"):
+        find_model(SearchSpec(assume=(H, CAI), refute=H, orders=(1, 7)))
 
 
 def test_up_to_iso_returns_canonical_witness():
