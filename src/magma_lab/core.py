@@ -130,15 +130,15 @@ def relabel(m: Magma, perm: Sequence[int]) -> Magma:
     return Magma(n, tuple(out))
 
 
-def canonical_form(m: Magma, cap: int = CANONICAL_CAP) -> Magma:
+def canonical_form(m: Magma) -> Magma:
     """Lexicographically least relabeling of the flat table.
 
-    Scans all order! permutations, so the order is capped (default 7).
+    Scans all order! permutations, so the order is capped at CANONICAL_CAP.
     Two magmas are isomorphic iff their canonical forms are equal.
     """
     n = m.order
-    if n > cap:
-        raise TableError(f"order {n} exceeds canonicalization cap {cap}")
+    if n > CANONICAL_CAP:
+        raise TableError(f"order {n} exceeds canonicalization cap {CANONICAL_CAP}")
     t = m.table
     if n == 1:
         return m
@@ -154,8 +154,8 @@ def canonical_form(m: Magma, cap: int = CANONICAL_CAP) -> Magma:
     return Magma(n, best)
 
 
-def is_isomorphic(a: Magma, b: Magma, cap: int = CANONICAL_CAP) -> bool:
+def is_isomorphic(a: Magma, b: Magma) -> bool:
     """Decide isomorphism by comparing canonical forms."""
     if a.order != b.order:
         return False
-    return canonical_form(a, cap).table == canonical_form(b, cap).table
+    return canonical_form(a).table == canonical_form(b).table

@@ -115,7 +115,6 @@ GROUP = Law("GROUP")    # associative monoid with inverses
 ABELIAN = Law("ABELIAN")  # commutative group
 
 EQUATIONAL_LAWS: tuple[Law, ...] = (A, C, CAI, CAII, AGI, AGII, R)
-IDENTITY_LAWS: tuple[Law, ...] = (CAI, CAII, AGI, AGII, R)
 ALL_LAWS: tuple[Law, ...] = (A, C, NE, IN, CAI, CAII, AGI, AGII, R, H, CA, LOOP, GROUP, ABELIAN)
 
 BY_NAME: dict[str, Law] = {law.tag: law for law in ALL_LAWS}

@@ -128,8 +128,9 @@ def check_identity_law(m: Magma, law: Law) -> CheckReport:
 def find_neutrals(m: Magma) -> NeutralReport:
     n = m.order
     t = m.table
-    left = tuple(e for e in range(n) if all(t[e * n + b] == b for b in range(n)))
-    right = tuple(e for e in range(n) if all(t[b * n + e] == b for b in range(n)))
+    ident = tuple(range(n))
+    left = tuple(e for e in range(n) if t[e * n:(e + 1) * n] == ident)
+    right = tuple(e for e in range(n) if t[e::n] == ident)
     two = next((e for e in left if e in right), None)
     return NeutralReport(left, right, two)
 
@@ -159,57 +160,40 @@ def check_inverses(m: Magma, e: int) -> CheckReport:
     return _inverse_report(m, e)
 
 
+def _lines(m: Magma):
+    """Each row, then each column, as (kind, index, entries)."""
+    n = m.order
+    t = m.table
+    for i in range(n):
+        yield "row", i, t[i * n:(i + 1) * n]
+    for i in range(n):
+        yield "column", i, t[i::n]
+
+
 def check_H(m: Magma) -> CheckReport:
     """Unique solvability of x + a = b and a + y = b: rows and columns permute.
 
     The detail names the first duplicated entry, scanning rows first.
     """
-    n = m.order
-    t = m.table
-    for r in range(n):
-        seen = 0
-        for c in range(n):
-            bit = 1 << t[r * n + c]
-            if seen & bit:
-                v = t[r * n + c]
-                j = next(k for k in range(c) if t[r * n + k] == v)
-                detail = {"kind": "row", "index": r, "value": v}
-                return CheckReport(m.order, H, False, {"a": r, "b": j, "c": c}, detail)
-            seen |= bit
-    for c in range(n):
-        seen = 0
-        for r in range(n):
-            bit = 1 << t[r * n + c]
-            if seen & bit:
-                v = t[r * n + c]
-                i = next(k for k in range(r) if t[k * n + c] == v)
-                detail = {"kind": "column", "index": c, "value": v}
-                return CheckReport(m.order, H, False, {"a": c, "b": i, "c": r}, detail)
-            seen |= bit
+    for kind, i, line in _lines(m):
+        first: dict = {}
+        for c, v in enumerate(line):
+            b = first.setdefault(v, c)
+            if b != c:
+                detail = {"kind": kind, "index": i, "value": v}
+                return CheckReport(m.order, H, False, {"a": i, "b": b, "c": c}, detail)
     return CheckReport(m.order, H, True)
 
 
 def check_cancellative(m: Magma) -> CheckReport:
-    """Both cancellation laws, by pairwise comparison of products."""
-    n = m.order
-    t = m.table
-    for a in range(n):
-        row = a * n
-        for b in range(n):
-            v = t[row + b]
-            for c in range(b + 1, n):
-                if t[row + c] == v:
-                    return CheckReport(
-                        m.order, CA, False, {"a": a, "b": b, "c": c}, {"side": "left"}
-                    )
-    for a in range(n):
-        for b in range(n):
-            v = t[b * n + a]
-            for c in range(b + 1, n):
-                if t[c * n + a] == v:
-                    return CheckReport(
-                        m.order, CA, False, {"a": a, "b": b, "c": c}, {"side": "right"}
-                    )
+    """Both cancellation laws: the first line with a repeated entry, rows
+    (left cancellation) before columns (right cancellation)."""
+    for kind, a, line in _lines(m):
+        for b, v in enumerate(line):
+            if v in line[b + 1:]:
+                side = "left" if kind == "row" else "right"
+                c = line.index(v, b + 1)
+                return CheckReport(m.order, CA, False, {"a": a, "b": b, "c": c}, {"side": side})
     return CheckReport(m.order, CA, True)
 
 
@@ -300,7 +284,11 @@ def holds(m: Magma, law: Law, memo: dict | None = None) -> bool:
 
 
 def classify(m: Magma) -> StructureReport:
-    """Name every class from the standard ladder that the table belongs to."""
+    """Name every class from the standard ladder that the table belongs to.
+
+    Raises ValueError when deciding A and C would take over ASSIGNMENT_CAP
+    assignments, as check_law does."""
+    check_assignment_cap((A.equation, C.equation), m.order)
     neutrals = find_neutrals(m)
     commutative = holds(m, C)
     semigroup = holds(m, A)

@@ -15,7 +15,6 @@ class SearchSpec:
     assume: tuple[Law, ...]
     refute: Law
     orders: tuple[int, int]
-    up_to_iso: bool = False
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,6 @@ def _enum_spec(spec: SearchSpec, order: int, assumes_h: bool) -> EnumSpec:
         order=order,
         mode=LATIN if assumes_h else ALL_MAGMAS,
         constraints=tuple(law for law in spec.assume if law.tag != "H"),
-        up_to_iso=spec.up_to_iso,
         non_latin=not assumes_h and spec.refute.tag == "H",
     )
 

@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 from .core import Magma, magma_from_rows
 from .laws import ASSIGNMENT_CAP, BY_NAME, Law, evaluate
-from .properties import NeutralReport, find_neutrals, holds
+from .properties import find_neutrals, holds
 
 ALL = "all"  # solver sentinel: every carrier element solves the equation
 
@@ -255,12 +255,12 @@ def builtin(name: str, *params) -> BuiltinStructure:
     raise ValueError(f"unknown structure {name!r}")
 
 
-def _check_equation(w: WindowedOp, law: Law, window) -> WindowedReport:
+def _check_equation(w: WindowedOp, law: Law) -> WindowedReport:
     eq = law.equation
     names = eq.variables
-    if len(window) ** len(names) > ASSIGNMENT_CAP:
+    if len(w.window) ** len(names) > ASSIGNMENT_CAP:
         raise ValueError("window too large for this equation")
-    for values in product(window, repeat=len(names)):
+    for values in product(w.window, repeat=len(names)):
         left, right = evaluate(eq.code, values, w.op)
         if left != right:
             return WindowedReport(law, False, "genuine",
@@ -268,7 +268,8 @@ def _check_equation(w: WindowedOp, law: Law, window) -> WindowedReport:
     return WindowedReport(law, True, "necessary-condition only")
 
 
-def _check_cancellative(w: WindowedOp, law: Law, window) -> WindowedReport:
+def _check_cancellative(w: WindowedOp, law: Law) -> WindowedReport:
+    window = w.window
     if len(window) ** 3 > ASSIGNMENT_CAP:
         raise ValueError("window too large")
     for a in window:
@@ -287,9 +288,9 @@ def _check_cancellative(w: WindowedOp, law: Law, window) -> WindowedReport:
     return WindowedReport(law, True, "necessary-condition only")
 
 
-def _check_latin(w: WindowedOp, law: Law, window) -> WindowedReport:
-    for a in window:
-        for b in window:
+def _check_latin(w: WindowedOp, law: Law) -> WindowedReport:
+    for a in w.window:
+        for b in w.window:
             for side, solver, shape in (
                 ("left", w.solve_left, "x * %s = %s"),
                 ("right", w.solve_right, "%s * y = %s"),
@@ -306,32 +307,28 @@ def _check_latin(w: WindowedOp, law: Law, window) -> WindowedReport:
     return WindowedReport(law, True, "necessary-condition only")
 
 
-def windowed_check(w: WindowedOp, law: Law, window=None) -> WindowedReport:
+def windowed_check(w: WindowedOp, law: Law) -> WindowedReport:
     """Check one law on a windowed operation.
 
     Equational laws and cancellativity are tested on window assignments:
     failures are genuine, passes are necessary conditions only. The H check
     uses the solvers, so its failures are genuine as well.
     """
-    if window is None:
-        window = w.window
     if law.is_equational:
-        return _check_equation(w, law, window)
+        return _check_equation(w, law)
     if law.tag == "CA":
-        return _check_cancellative(w, law, window)
+        return _check_cancellative(w, law)
     if law.tag == "H":
-        return _check_latin(w, law, window)
+        return _check_latin(w, law)
     raise ValueError(f"law {law.tag} has no windowed check")
 
 
-def windowed_neutrals(w: WindowedOp, window=None) -> WindowedNeutrals:
+def windowed_neutrals(w: WindowedOp) -> WindowedNeutrals:
     """Intersect the solver answers of e * x = x and x * e = x over the window."""
-    if window is None:
-        window = w.window
 
     def candidates(solver):
         cands = None
-        for x in window:
+        for x in w.window:
             sols = solver(x, x)
             if sols == ALL:
                 continue
@@ -380,43 +377,29 @@ def _neutral_note(left, right) -> str:
     return f"no two-sided neutral; left neutrals {fmt(left)}, right neutrals {fmt(right)}"
 
 
-def _evaluate_finite(s: BuiltinStructure):
-    m = s.magma
-    actual: dict = {}
-    scopes: dict = {}
-    notes: list = []
-    neutrals: NeutralReport | None = None
-    for tag, _ in s.claims:
-        if tag == "NE":
-            neutrals = find_neutrals(m)
-            actual[tag] = neutrals.two_sided is not None
-        else:
-            actual[tag] = holds(m, BY_NAME[tag])
-        scopes[tag] = "exact"
-    if neutrals is not None and neutrals.two_sided is None:
-        if neutrals.left or neutrals.right:
-            notes.append(_neutral_note(neutrals.left, neutrals.right))
-    return actual, scopes, notes
-
-
-def _evaluate_windowed(s: BuiltinStructure):
-    w = s.windowed
+def _evaluate(s: BuiltinStructure):
+    """Computed verdicts, their scopes and notes for each documented claim."""
     actual: dict = {}
     scopes: dict = {}
     notes: list = []
     for tag, _ in s.claims:
         if tag == "NE":
-            wn = windowed_neutrals(w)
-            actual[tag] = wn.two_sided is not None
-            scopes[tag] = wn.scope
-            if wn.two_sided is None and (wn.left or wn.right):
-                notes.append(_neutral_note(wn.left, wn.right))
+            if s.kind == "finite":
+                nr, scope = find_neutrals(s.magma), "exact"
+            else:
+                nr = windowed_neutrals(s.windowed)
+                scope = nr.scope
+            actual[tag] = nr.two_sided is not None
+            if nr.two_sided is None and (nr.left or nr.right):
+                notes.append(_neutral_note(nr.left, nr.right))
+        elif s.kind == "finite":
+            actual[tag], scope = holds(s.magma, BY_NAME[tag]), "exact"
         else:
-            rep = windowed_check(w, BY_NAME[tag])
-            actual[tag] = rep.holds
-            scopes[tag] = rep.scope
+            rep = windowed_check(s.windowed, BY_NAME[tag])
+            actual[tag], scope = rep.holds, rep.scope
             if not rep.holds and rep.detail:
                 notes.append(f"{tag}: {rep.detail}")
+        scopes[tag] = scope
     return actual, scopes, notes
 
 
@@ -427,10 +410,7 @@ def example_suite() -> list[ExampleRecord]:
     records = []
     for name, params in _CATALOG:
         s = builtin(name, *params)
-        if s.kind == "finite":
-            actual, scopes, notes = _evaluate_finite(s)
-        else:
-            actual, scopes, notes = _evaluate_windowed(s)
+        actual, scopes, notes = _evaluate(s)
         claims = dict(s.claims)
         mismatches = tuple(tag for tag, want in s.claims if actual[tag] != want)
         for tag in mismatches:

@@ -7,6 +7,9 @@ sharing with the optimized code paths under test.
 
 from itertools import product
 
+from magma_lab.laws import CA, H
+from magma_lab.properties import CheckReport, NeutralReport
+
 
 def eval_term(term, env, m):
     if isinstance(term, str):
@@ -100,3 +103,51 @@ def ref_holds(m, law):
             and has_inverses(m)
         )
     raise ValueError(f"no reference for {tag}")
+
+
+# Witness scans, read off the CheckReport docstring: a, b, c with b != c
+# whose products collide, op(a, b) == op(a, c) along a row (left) or
+# op(b, a) == op(c, a) along a column (right); every row before any column.
+
+
+def _collides(m, along_row, a, b, c):
+    if along_row:
+        return m.op(a, b) == m.op(a, c)
+    return m.op(b, a) == m.op(c, a)
+
+
+def h_report(m):
+    """First line, then first repeated position c in it, then the earliest
+    earlier position b holding the same value."""
+    r = range(m.order)
+    for along_row, kind in ((True, "row"), (False, "column")):
+        for a in r:
+            for c in r:
+                for b in range(c):
+                    if _collides(m, along_row, a, b, c):
+                        value = m.op(a, c) if along_row else m.op(c, a)
+                        detail = {"kind": kind, "index": a, "value": value}
+                        return CheckReport(m.order, H, False, {"a": a, "b": b, "c": c}, detail)
+    return CheckReport(m.order, H, True)
+
+
+def ca_report(m):
+    """First line, then first position b repeated later, then the earliest
+    later position c holding the same value."""
+    r = range(m.order)
+    for along_row, side in ((True, "left"), (False, "right")):
+        for a in r:
+            for b in r:
+                for c in range(b + 1, m.order):
+                    if _collides(m, along_row, a, b, c):
+                        return CheckReport(m.order, CA, False, {"a": a, "b": b, "c": c},
+                                           {"side": side})
+    return CheckReport(m.order, CA, True)
+
+
+def neutral_report(m):
+    r = range(m.order)
+    left = tuple(e for e in r if all(m.op(e, x) == x for x in r))
+    right = tuple(e for e in r if all(m.op(x, e) == x for x in r))
+    two_sided = next((e for e in r if e in left and e in right), None)
+    return NeutralReport(left, right, two_sided)

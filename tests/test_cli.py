@@ -4,6 +4,7 @@ that needs a real pipe."""
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,14 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from magma_lab import cli
 from magma_lab.cli import main
+from magma_lab.core import format_table
+from magma_lab.enumeration import ALL_MAGMAS
+from magma_lab.laws import C
 from magma_lab.schemas import SCHEMAS
+from magma_lab.structures import zn_add
+from magma_lab.theorems import TheoremSpec, _imp
 
 ZN_SUB_3 = "3\n0 2 1\n1 0 2\n2 1 0\n"
 ZN_ADD_2 = "2\n0 1\n1 0\n"
@@ -456,4 +463,66 @@ def test_assignment_cap_exits_2(write_table, capsys, argv):
     assert code == 2
     assert out == ""
     assert "14348907 assignments at order 3 exceed the cap of 10000000" in err
+    assert "Traceback" not in err
+
+
+def test_theorems_failing_text(capsys, monkeypatch):
+    bogus = TheoremSpec("T99", "implication", ALL_MAGMAS, "every magma is commutative",
+                        (_imp((), (C,)),))
+    monkeypatch.setattr(cli, "CATALOG", (bogus,))
+    monkeypatch.setattr(cli, "BY_ID", {"T99": bogus})
+    code, out, _ = run(capsys, "theorems", "--id", "T99", "--max-order", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "T99: FAIL  all-magmas up to order 2, 17 structures",
+        "  failing branch: {} => {C}",
+        "  2",
+        "  0 0",
+        "  1 0",
+        "0/1 verified",
+    ]
+
+
+def test_theorems_timings_text(capsys):
+    code, out, _ = run(capsys, "theorems", "--max-order", "2", "--id", "T1", "--timings")
+    assert code == 0
+    lines = out.splitlines()
+    assert re.fullmatch(
+        r"T1: PASS  all-magmas up to order 2, 17 structures \(\d+\.\d\ds\)", lines[0]
+    )
+    assert lines[1:] == ["1/1 verified"]
+
+
+def test_enumerate_emit_json(tmp_path, capsys):
+    out_dir = tmp_path / "tables"
+    code, out, _ = run(capsys, "enumerate", "--order", "2", "--mode", "latin",
+                       "--emit", str(out_dir), "--json")
+    assert code == 0
+    data = json.loads(out)
+    jsonschema.validate(data, SCHEMAS["enumerate"])
+    assert data == {"order": 2, "mode": "latin-squares", "count": 2, "emitted": str(out_dir)}
+    assert sorted(p.name for p in out_dir.iterdir()) == ["000000.cay", "000001.cay"]
+
+
+def test_up_to_iso_over_canonical_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("MAGMA_LAB_MAX_ORDER", "8")
+    code, out, err = run(capsys, "count", "--order", "8", "--up-to-iso")
+    assert code == 2
+    assert out == ""
+    assert "up_to_iso needs order <= 7" in err
+
+
+def test_search_needs_all_three_flags(capsys):
+    code, out, err = run(capsys, "search", "--assume", "A")
+    assert code == 2
+    assert out == ""
+    assert "need either --spec or all of --assume, --refute, --orders" in err
+
+
+def test_classify_over_assignment_cap_exits_2(write_table, capsys):
+    path = write_table(format_table(zn_add(216)))
+    code, out, err = run(capsys, "classify", "--table", path)
+    assert code == 2
+    assert out == ""
+    assert "10124352 assignments at order 216 exceed the cap of 10000000" in err
     assert "Traceback" not in err

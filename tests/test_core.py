@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from magma_lab.core import (
     Magma,
@@ -10,6 +11,8 @@ from magma_lab.core import (
     parse_table,
     relabel,
 )
+
+from strategies import PROPERTY, magmas
 
 Z2 = magma_from_rows([[0, 1], [1, 0]])
 Z3_ADD = magma_from_rows([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
@@ -100,4 +103,18 @@ def test_canonical_cap():
     big = Magma(8, tuple(0 for _ in range(64)))
     with pytest.raises(TableError, match="exceeds canonicalization cap"):
         canonical_form(big)
-    assert canonical_form(Z2, cap=2) == Z2
+
+
+@PROPERTY
+@given(magmas(1, 6))
+def test_format_parse_round_trip(m):
+    assert parse_table(format_table(m)) == m
+
+
+@PROPERTY
+@given(magmas(1, 5), st.data())
+def test_canonical_form_is_idempotent_and_a_class_invariant(m, data):
+    form = canonical_form(m)
+    assert canonical_form(form) == form
+    perm = data.draw(st.permutations(range(m.order)))
+    assert canonical_form(relabel(m, perm)) == form

@@ -2,9 +2,8 @@ import string
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from magma_lab.core import Magma
 from magma_lab.dsl import (
     MAX_DEPTH,
     LawSyntaxError,
@@ -18,8 +17,7 @@ from magma_lab.laws import AGI, BY_NAME, CAI, CAII, C, EQUATIONAL_LAWS, H, NE, E
 from magma_lab.properties import check_law
 
 from reference import equation_holds, eval_term
-
-PROPERTY = settings(derandomize=True, database=None, deadline=None)
+from strategies import PROPERTY, random_tables
 
 terms = st.recursive(
     st.sampled_from("abcde"), lambda sub: st.tuples(sub, sub), max_leaves=8
@@ -95,6 +93,25 @@ def test_parse_errors_with_offsets():
     except LawSyntaxError as exc:
         err = exc
     assert err.offset == 9
+
+
+@pytest.mark.parametrize("parse, text, message, offset", [
+    (parse_law, "(a + b = a", "unbalanced parenthesis", 7),
+    (parse_law, "a + ) = a", "unbalanced parenthesis", 4),
+    (parse_law, "ab = a", "invalid character 'b'", 1),
+    (parse_equation, "a + b", "expected '='", 5),
+    (parse_law, "a b = a", "invalid character 'b'", 2),
+    (parse_law, "a = b)", "unbalanced parenthesis", 5),
+    (parse_spec, "assum A; refute C; orders 1..2", "expected 'assume'", 0),
+    (parse_spec, "assume A,,B; refute C; orders 1..2", "expected law after 'assume'", 9),
+    (parse_spec, "assume A; refut C; orders 1..2", "expected 'refute'", 10),
+])
+def test_parse_error_message_and_offset(parse, text, message, offset):
+    with pytest.raises(LawSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == f"{message} at offset {offset}"
+    assert info.value.offset == offset
+    assert law_equal(NE, NE) and not law_equal(NE, H)
 
 
 def test_round_trip_builtins():
@@ -197,11 +214,7 @@ def test_law_equal_is_equality_up_to_renaming(law, other, injective, any_map):
         assert law_equal(law, b) == (_naive_normal_form(law) == _naive_normal_form(b))
 
 
-tables_1_to_4 = st.integers(1, 4).flatmap(
-    lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(
-        lambda t: Magma(n, t)
-    )
-)
+tables_1_to_4 = random_tables(1, 4)
 
 
 @PROPERTY

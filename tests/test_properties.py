@@ -1,9 +1,10 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magma_lab import properties
-from magma_lab.core import Magma, magma_from_rows
+from magma_lab.core import Magma, magma_from_rows, relabel
 from magma_lab.dsl import parse_law
 from magma_lab.enumeration import LATIN, EnumSpec, tables
 from magma_lab.laws import (
@@ -34,7 +35,8 @@ from magma_lab.properties import (
 )
 from magma_lab.structures import example_suite, zn_add
 
-from reference import has_inverses, is_latin, ref_holds
+from reference import ca_report, h_report, has_inverses, is_latin, neutral_report, ref_holds
+from strategies import PROPERTY, magmas
 
 Z3_ADD = magma_from_rows([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 Z3_SUB = magma_from_rows([[0, 2, 1], [1, 0, 2], [2, 1, 0]])
@@ -237,3 +239,20 @@ def test_checkers_agree_on_structured_tables():
         assert ("quasigroup" in rep.labels) == is_latin(m), m.table
         complete = rep.inverses is not None and None not in rep.inverses
         assert complete == has_inverses(m), m.table
+
+
+@PROPERTY
+@given(magmas(1, 6), st.data())
+def test_holds_is_invariant_under_relabeling(m, data):
+    perm = data.draw(st.permutations(range(m.order)))
+    image = relabel(m, perm)
+    for law in ALL_LAWS:
+        assert holds(image, law) == holds(m, law), law.tag
+
+
+@settings(PROPERTY, max_examples=300)
+@given(magmas(1, 6))
+def test_line_scans_match_the_naive_witness_scans(m):
+    assert check_H(m) == h_report(m)
+    assert check_cancellative(m) == ca_report(m)
+    assert find_neutrals(m) == neutral_report(m)

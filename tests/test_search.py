@@ -1,7 +1,6 @@
 import pytest
 
 from magma_lab import search
-from magma_lab.core import canonical_form
 from magma_lab.dsl import parse_spec
 from magma_lab.enumeration import InfeasibleError
 from magma_lab.laws import ABELIAN, AGI, AGII, CAI, H, NE, R, A, C
@@ -46,13 +45,6 @@ def test_assuming_and_refuting_h_streams_nothing(monkeypatch):
     # the caps are still checked for the whole range first
     with pytest.raises(InfeasibleError, match="exceeds the latin-squares cap 6"):
         find_model(SearchSpec(assume=(H, CAI), refute=H, orders=(1, 7)))
-
-
-def test_up_to_iso_returns_canonical_witness():
-    spec = SearchSpec(assume=(H, AGI), refute=NE, orders=(1, 3), up_to_iso=True)
-    res = find_model(spec)
-    assert res.found is not None
-    assert canonical_form(res.found).table == res.found.table
 
 
 def test_worker_count_does_not_change_the_answer():
