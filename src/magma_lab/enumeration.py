@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
+from math import factorial
 from multiprocessing import Pool
 from typing import Iterator
 
@@ -212,6 +213,15 @@ def _run(n: int, latin: bool, insts, prefix, non_latin: bool, collect) -> int:
 
     go(0)
     return count
+
+
+def latin_square_count(n: int) -> int:
+    """Number of Latin squares of order n, from one backtracking job.
+
+    Renaming the values maps each square to exactly one whose first row is
+    0..n-1, so the count is n! times the number of those.
+    """
+    return factorial(n) * _run(n, True, (), tuple(range(n)), False, None)
 
 
 def _prefixes(spec: EnumSpec):

@@ -1,9 +1,12 @@
-"""Catalog of implications between the built-in laws, checked by brute force.
+"""Catalog of implications between the built-in laws, checked exhaustively.
 
 Each entry states that every structure in its domain satisfying the premise
 laws also satisfies the conclusion laws. An equivalence is stored as the two
-implication directions, one branch each. Verification sweeps the whole
-domain up to a given order and reports the first counterexample, if any.
+implication directions, one branch each. Verification enumerates, at each
+order up to a given one, only the models of each branch's premises: H or the
+quasigroup domain selects Latin squares, equational premises prune the
+backtracking, and NE, IN and CA filter the stream. It reports the first
+counterexample in the domain, if any.
 """
 
 from __future__ import annotations
@@ -18,15 +21,19 @@ from .enumeration import (
     MAX_ORDER_ENV,
     EnumSpec,
     InfeasibleError,
+    latin_square_count,
     order_cap,
     tables,
 )
-from .laws import A, ABELIAN, AGI, AGII, C, CA, CAI, CAII, H, IN, LOOP, NE, R, Law
+from .laws import A, ABELIAN, AGI, AGII, C, CA, CAI, CAII, GROUP, H, IN, LOOP, NE, R, Law
 from .properties import holds
 
 QUASIGROUPS = "quasigroups"
 
 _MODE = {ALL_MAGMAS: ALL_MAGMAS, QUASIGROUPS: LATIN}
+
+# Composite premises stand for the laws that define them.
+_UNFOLD = {ABELIAN: (A, C, NE, IN), GROUP: (A, NE, IN), LOOP: (H, NE)}
 
 
 @dataclass(frozen=True)
@@ -142,10 +149,26 @@ CATALOG = theorem_catalog()
 BY_ID = {t.id: t for t in CATALOG}
 
 
+def premise_spec(premises, domain: str, order: int) -> EnumSpec:
+    """The enumeration that streams exactly the models of premises in domain
+    at one order: H or the quasigroup domain selects Latin squares, the
+    other premises, composites unfolded, become constraints."""
+    laws: list[Law] = []
+    for p in premises:
+        for q in _UNFOLD.get(p, (p,)):
+            if q not in laws:
+                laws.append(q)
+    mode = LATIN if domain == QUASIGROUPS or H in laws else ALL_MAGMAS
+    return EnumSpec(order, mode, tuple(q for q in laws if q != H))
+
+
 def verify_theorems(specs, max_order: int) -> list[VerificationReport]:
-    """Check several theorems in one sweep per domain, sharing the stream
-    and a per-structure law cache. Counterexamples are the first hit in
-    stream order; examined counts the whole domain."""
+    """Check several theorems, streaming the models of each distinct premise
+    set once per order for every branch that shares it.
+
+    The counterexample is the earliest failing model in (order, flat table)
+    order across a theorem's branches, the first branch in catalog order on
+    a tie. Examined counts the whole domain, not only the premise models."""
     if max_order < 1:
         raise ValueError(f"max order must be positive, got {max_order}")
     specs = list(specs)
@@ -162,27 +185,41 @@ def verify_theorems(specs, max_order: int) -> list[VerificationReport]:
         if not batch:
             continue
         started = time.monotonic()
-        hits: dict[str, tuple[Magma, str]] = {}
+        # theorem id -> ((order, table, branch index), model, label) of its
+        # first failure
+        first: dict[str, tuple] = {}
         examined = 0
-        # A Latin stream settles H up front. CA is left to be decided: that
-        # H implies CA is T7, which the sweep is there to test.
-        seed = {H.tag: True} if domain == QUASIGROUPS else {}
         for order in range(1, max_order + 1):
-            for m in tables(EnumSpec(order=order, mode=_MODE[domain])):
-                examined += 1
-                memo = dict(seed)
-                for spec in batch:
-                    if spec.id in hits:
-                        continue
-                    for br in spec.branches:
-                        if not all(holds(m, p, memo) for p in br.premises):
-                            continue
+            examined += (
+                latin_square_count(order) if domain == QUASIGROUPS else order ** (order * order)
+            )
+            # premise enumeration -> (theorem id, branch index, branch) of its users
+            groups: dict[EnumSpec, list] = {}
+            for spec in batch:
+                if spec.id not in first:
+                    for i, br in enumerate(spec.branches):
+                        pspec = premise_spec(br.premises, domain, order)
+                        groups.setdefault(pspec, []).append((spec.id, i, br))
+            for pspec, users in groups.items():
+                # The premises hold by construction. CA is never assumed for
+                # a Latin stream: that H implies CA is T7, which is under test.
+                seed = {q.tag: True for q in pspec.constraints}
+                if pspec.mode == LATIN:
+                    seed[H.tag] = True
+                for m in tables(pspec):
+                    # a branch drops out once its theorem fails earlier
+                    users = [u for u in users
+                             if u[0] not in first or (order, m.table, u[1]) < first[u[0]][0]]
+                    if not users:
+                        break
+                    memo = dict(seed)
+                    for tid, i, br in users:
                         if not all(holds(m, c, memo) for c in br.conclusions):
-                            hits[spec.id] = (m, br.label)
-                            break
+                            hit = ((order, m.table, i), m, br.label)
+                            first[tid] = min(first.get(tid, hit), hit)
         elapsed = time.monotonic() - started
         for spec in batch:
-            cx, label = hits.get(spec.id, (None, None))
+            _, cx, label = first.get(spec.id, (None, None, None))
             reports[spec.id] = VerificationReport(
                 spec, max_order, examined, cx, label, elapsed
             )
@@ -190,7 +227,7 @@ def verify_theorems(specs, max_order: int) -> list[VerificationReport]:
 
 
 def verify_theorem(theorem_id: str, max_order: int) -> VerificationReport:
-    """Sweep one theorem's domain up to max_order."""
+    """Verify one theorem up to max_order."""
     spec = BY_ID.get(theorem_id)
     if spec is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}")

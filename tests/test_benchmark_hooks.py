@@ -5,9 +5,10 @@ suite."""
 
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
-from magma_lab import properties
+from magma_lab import properties, theorems
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -36,3 +37,21 @@ def test_session_work_counts_are_pinned(tmp_path):
     # scans; the counts are the deterministic sign that their work is unchanged
     pins = _perfbench_module("test_perfbench")
     assert pins.traced_counts("session", tmp_path) == pins.PINNED["session"]
+
+
+def test_sweep_calls_through_traced_names(monkeypatch):
+    # trace mode wraps theorems.tables and theorems.holds; a sweep that went
+    # around them would read 0 in the per-layer theorem metrics
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(theorems, "tables", counting("tables", theorems.tables))
+    monkeypatch.setattr(theorems, "holds", counting("holds", theorems.holds))
+    assert all(r.verified for r in theorems.verify_theorems(theorems.CATALOG, 2))
+    assert calls["tables"] > 0
+    assert calls["holds"] > 0

@@ -1,8 +1,16 @@
 import pytest
 
 from magma_lab.core import magma_from_rows
-from magma_lab.enumeration import LATIN, EnumSpec, InfeasibleError, tables
-from magma_lab.laws import CAI, CAII, H, A, C
+from magma_lab.dsl import parse_law
+from magma_lab.enumeration import (
+    LATIN,
+    EnumSpec,
+    InfeasibleError,
+    count,
+    latin_square_count,
+    tables,
+)
+from magma_lab.laws import ABELIAN, AGI, CA, CAI, CAII, GROUP, IN, LOOP, NE, H, A, C
 from magma_lab.properties import holds
 from magma_lab.theorems import (
     ALL_MAGMAS,
@@ -11,9 +19,13 @@ from magma_lab.theorems import (
     QUASIGROUPS,
     Branch,
     TheoremSpec,
+    _imp,
+    premise_spec,
     verify_theorem,
     verify_theorems,
 )
+
+from reference import ref_holds
 
 
 def test_catalog_shape():
@@ -69,7 +81,7 @@ def test_counterexample_detection_is_deterministic():
     assert not rep.verified
     assert rep.branch == "{C} => {A}"
     assert rep.counterexample.rows() == [[1, 0], [0, 0]]
-    # the whole domain is still swept
+    # examined counts the whole domain, not only the models of {C}
     assert rep.structures_examined == 17
 
 
@@ -100,3 +112,102 @@ def test_branch_labels_readable():
     labels = [br.label for br in BY_ID["T11"].branches]
     assert "{H,CAI} => {ABELIAN}" in labels
     assert "{ABELIAN} => {H,CAI}" in labels
+
+
+def _domain(domain, order):
+    """The whole domain at one order, in stream order."""
+    return tables(EnumSpec(order, LATIN if domain == QUASIGROUPS else ALL_MAGMAS))
+
+
+@pytest.mark.parametrize("domain, max_order", [(ALL_MAGMAS, 3), (QUASIGROUPS, 4)])
+def test_premise_models_match_filtered_domain(domain, max_order):
+    # oracle: the whole domain filtered by the naive laws, never remembered counts
+    premise_sets = {br.premises for t in CATALOG if t.domain == domain for br in t.branches}
+    for order in range(1, max_order + 1):
+        whole = list(_domain(domain, order))
+        for premises in premise_sets:
+            want = [m for m in whole if all(ref_holds(m, p) for p in premises)]
+            got = list(tables(premise_spec(premises, domain, order)))
+            assert got == want, (order, [p.tag for p in premises])
+
+
+IDEMPOTENT = parse_law("a + a = a")
+# holds in groups of order 1 and 2, fails in Z3 and in the order-2 monoid
+# that is not a group, so a GROUP or ABELIAN premise that lost IN shows
+SQUARES_AGREE = parse_law("a + a = b + b")
+
+
+def _false(tid, domain, *branches):
+    return TheoremSpec(tid, "implication", domain, "false on purpose",
+                       tuple(_imp(p, c) for p, c in branches))
+
+
+FALSE_THEOREMS = {
+    ALL_MAGMAS: [
+        _false("F1", ALL_MAGMAS, ((), (C,))),
+        _false("F2", ALL_MAGMAS, ((NE,), (A,))),
+        _false("F3", ALL_MAGMAS, ((IN,), (A,))),
+        _false("F4", ALL_MAGMAS, ((LOOP,), (IDEMPOTENT,))),
+        _false("F5", ALL_MAGMAS, ((GROUP,), (SQUARES_AGREE,))),
+        _false("F6", ALL_MAGMAS, ((ABELIAN,), (SQUARES_AGREE,))),
+        _false("F7", ALL_MAGMAS, ((H,), (C,))),
+        # the second branch fails at order 2, the first only at order 3
+        _false("F8", ALL_MAGMAS, ((NE,), (A,)), ((), (C,))),
+        # CA and H select the same tables, by different streams; F7 puts the
+        # H stream first, so the tie has to be settled by branch order
+        _false("F9", ALL_MAGMAS, ((CA,), (C,)), ((H,), (C,))),
+    ],
+    QUASIGROUPS: [
+        _false("Q1", QUASIGROUPS, ((), (C,))),
+        _false("Q2", QUASIGROUPS, ((NE,), (A,))),
+        _false("Q3", QUASIGROUPS, ((IN,), (A,))),
+        _false("Q4", QUASIGROUPS, ((LOOP,), (A,))),
+        _false("Q5", QUASIGROUPS, ((GROUP,), (IDEMPOTENT,))),
+        _false("Q6", QUASIGROUPS, ((ABELIAN,), (IDEMPOTENT,))),
+        _false("Q7", QUASIGROUPS, ((AGI,), (NE,))),
+        # every Latin square is cancellative; Q1 puts the plain Latin stream
+        # first, so the tie has to be settled by branch order
+        _false("Q8", QUASIGROUPS, ((CA,), (C,)), ((), (C,))),
+    ],
+}
+
+
+def _naive_first_failure(spec, max_order):
+    """First hit in (order, table, branch) order over the whole domain."""
+    for order in range(1, max_order + 1):
+        for m in _domain(spec.domain, order):
+            for br in spec.branches:
+                if all(ref_holds(m, p) for p in br.premises) and not all(
+                    ref_holds(m, c) for c in br.conclusions
+                ):
+                    return m, br.label
+    return None, None
+
+
+@pytest.mark.parametrize("domain, max_order", [(ALL_MAGMAS, 3), (QUASIGROUPS, 5)])
+def test_first_counterexample_matches_naive_scan(domain, max_order):
+    specs = FALSE_THEOREMS[domain]
+    for spec in specs:
+        assert len({br.label for br in spec.branches}) == len(spec.branches)
+    for spec, rep in zip(specs, verify_theorems(specs, max_order)):
+        want = _naive_first_failure(spec, max_order)
+        assert want[0] is not None, spec.id
+        assert (rep.counterexample, rep.branch) == want, spec.id
+    # the tie is real: both branches of the last theorem fail first on one table
+    last = specs[-1]
+    firsts = [_naive_first_failure(TheoremSpec(last.id, last.kind, domain, "", (br,)), max_order)
+              for br in last.branches]
+    assert firsts[0][0] == firsts[1][0]
+
+
+def test_latin_square_count_matches_enumeration():
+    got = [latin_square_count(n) for n in range(1, 6)]
+    assert got == [count(EnumSpec(n, LATIN)) for n in range(1, 6)]
+    assert got == [1, 2, 12, 576, 161280]
+
+
+def test_quasigroup_theorems_verify_order_5():
+    reports = verify_theorems([t for t in CATALOG if t.domain == QUASIGROUPS], 5)
+    assert [r.theorem.id for r in reports] == ["T8", "T9", "T10", "T11"]
+    assert all(r.verified for r in reports)
+    assert {r.structures_examined for r in reports} == {161871}
