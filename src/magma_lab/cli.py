@@ -14,17 +14,12 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .core import Magma, canonical_form, format_table, parse_table
 from .dsl import format_law, parse_law, parse_spec
-from .enumeration import (
-    ALL_MAGMAS,
-    LATIN,
-    EnumSpec,
-    count as count_tables,
-    tables,
-)
+from .enumeration import ALL_MAGMAS, LATIN, count as count_tables, models_spec, tables
 from .properties import check_law, classify
 from .search import SearchSpec, find_model
 from .structures import builtin, example_suite
@@ -147,18 +142,15 @@ def _cmd_canon(args) -> int:
     return 0
 
 
-def _enum_spec_from_args(args) -> EnumSpec:
-    return EnumSpec(
-        order=args.order,
-        mode=_MODES[args.mode],
-        constraints=tuple(_parse_assume(args.assume)),
-        up_to_iso=args.up_to_iso,
-    )
+def _enum_spec_from_args(args):
+    spec = models_spec(_parse_assume(args.assume), args.order, _MODES[args.mode] == LATIN)
+    return replace(spec, up_to_iso=args.up_to_iso)
 
 
 def _cmd_enumerate(args) -> int:
-    spec = _enum_spec_from_args(args)
-    stream = tables(spec, workers=args.workers)
+    # JSON reports the requested mode, whichever one the assumptions select
+    mode = _MODES[args.mode]
+    stream = tables(_enum_spec_from_args(args), workers=args.workers)
     if args.emit:
         out = Path(args.emit)
         out.mkdir(parents=True, exist_ok=True)
@@ -168,7 +160,7 @@ def _cmd_enumerate(args) -> int:
             total += 1
         if args.json:
             _emit_json({
-                "order": spec.order, "mode": spec.mode,
+                "order": args.order, "mode": mode,
                 "count": total, "emitted": str(out),
             })
         else:
@@ -177,7 +169,7 @@ def _cmd_enumerate(args) -> int:
     if args.json:
         rows = [m.rows() for m in stream]
         _emit_json({
-            "order": spec.order, "mode": spec.mode,
+            "order": args.order, "mode": mode,
             "count": len(rows), "tables": rows,
         })
         return 0
@@ -191,10 +183,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    spec = _enum_spec_from_args(args)
-    total = count_tables(spec, workers=args.workers)
+    total = count_tables(_enum_spec_from_args(args), workers=args.workers)
     if args.json:
-        _emit_json({"order": spec.order, "mode": spec.mode, "count": total})
+        _emit_json({"order": args.order, "mode": _MODES[args.mode], "count": total})
     else:
         print(total)
     return 0
@@ -301,7 +292,7 @@ def _slug(s) -> str:
 
 def _cmd_examples(args) -> int:
     records = example_suite()
-    if args.id:
+    if args.id is not None:
         records = [r for r in records if r.example == args.id]
         if not records:
             raise ValueError(f"no example numbered {args.id}")
@@ -344,6 +335,13 @@ def _cmd_examples(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magma-lab",
@@ -376,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="constraint law, comma-separable; repeatable")
         p.add_argument("--up-to-iso", action="store_true",
                        help="emit only canonical representatives")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=positive_int, default=1)
         if name == "enumerate":
             p.add_argument("--emit", help="write one .cay file per table here")
         add_json(p)
@@ -386,22 +384,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assume", action="append", help="law, comma-separable; repeatable")
     p.add_argument("--refute", help="law to refute")
     p.add_argument("--orders", help="order range lo..hi")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--emit", help="write the found table to this file")
     add_json(p)
 
     p = sub.add_parser("theorems", help="verify the theorem catalog exhaustively")
     p.add_argument("--max-order", type=int, default=3)
-    p.add_argument("--quasigroups", action="store_true",
-                   help="only the quasigroup-domain theorems")
-    p.add_argument("--id", action="append", help="theorem id, e.g. T7; repeatable")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--quasigroups", action="store_true",
+                       help="only the quasigroup-domain theorems")
+    which.add_argument("--id", action="append", help="theorem id, e.g. T7; repeatable")
     p.add_argument("--timings", action="store_true", help="append wall-clock times")
     add_json(p)
 
     p = sub.add_parser("examples", help="evaluate the built-in structure catalog")
     p.add_argument("--id", type=int, help="only this example number")
-    p.add_argument("--emit", help="write finite catalog tables here")
-    add_json(p)
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--emit", help="write finite catalog tables here")
+    add_json(output)
 
     return parser
 

@@ -22,7 +22,7 @@ from multiprocessing import Pool
 from typing import Iterator
 
 from .core import CANONICAL_CAP, Magma, canonical_form
-from .laws import Law, check_assignment_cap, is_tautology
+from .laws import PARTS, H, Law, check_assignment_cap, is_tautology
 from .properties import holds
 
 ALL_MAGMAS = "all-magmas"
@@ -53,6 +53,19 @@ class EnumSpec:
     constraints: tuple[Law, ...] = ()
     up_to_iso: bool = False
     non_latin: bool = False
+
+
+def models_spec(laws, order: int, latin: bool = False) -> EnumSpec:
+    """The enumeration that streams exactly the models of laws at one order.
+
+    Composite laws unfold to their PARTS and repeats are dropped. H, or
+    latin, selects Latin squares; every other law becomes a constraint.
+    """
+    parts = dict.fromkeys(q for law in laws for q in PARTS.get(law, (law,)))
+    latin = latin or H in parts
+    return EnumSpec(
+        order, LATIN if latin else ALL_MAGMAS, tuple(q for q in parts if q != H)
+    )
 
 
 def _split_constraints(spec: EnumSpec):

@@ -110,9 +110,18 @@ NE = Law("NE")          # two-sided neutral element exists
 IN = Law("IN")          # two-sided neutral exists and every element has a two-sided inverse
 H = Law("H")            # every x + a = b and a + y = b uniquely solvable (Latin table)
 CA = Law("CA")          # cancellative on both sides
-LOOP = Law("LOOP")      # H together with NE
-GROUP = Law("GROUP")    # associative monoid with inverses
-ABELIAN = Law("ABELIAN")  # commutative group
+# The composite laws: each holds when all of its PARTS hold.
+LOOP = Law("LOOP")
+GROUP = Law("GROUP")
+ABELIAN = Law("ABELIAN")
+
+# The parts of each composite law, listed flat in the order check_law
+# reports the first missing one. Nothing else says what a composite means.
+PARTS: dict[Law, tuple[Law, ...]] = {
+    LOOP: (H, NE),
+    GROUP: (A, NE, IN),
+    ABELIAN: (A, C, NE, IN),
+}
 
 EQUATIONAL_LAWS: tuple[Law, ...] = (A, C, CAI, CAII, AGI, AGII, R)
 ALL_LAWS: tuple[Law, ...] = (A, C, NE, IN, CAI, CAII, AGI, AGII, R, H, CA, LOOP, GROUP, ABELIAN)

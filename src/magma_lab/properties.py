@@ -11,31 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import Magma
-from .laws import (
-    ABELIAN,
-    CA,
-    GROUP,
-    H,
-    IN,
-    LOOP,
-    NE,
-    A,
-    C,
-    Equation,
-    Law,
-    check_assignment_cap,
-)
-
-CLASS_LABELS = (
-    "magma",
-    "commutative",
-    "semigroup",
-    "monoid",
-    "group",
-    "abelian-group",
-    "quasigroup",
-    "loop",
-)
+from .laws import CA, H, IN, PARTS, A, C, Equation, Law, check_assignment_cap
 
 
 @dataclass(frozen=True)
@@ -223,13 +199,8 @@ def check_law(m: Magma, law: Law) -> CheckReport:
         return check_H(m)
     if tag == "CA":
         return check_cancellative(m)
-    if tag == "LOOP":
-        parts = (H, NE)
-    elif tag == "GROUP":
-        parts = (A, NE, IN)
-    elif tag == "ABELIAN":
-        parts = (A, C, NE, IN)
-    else:
+    parts = PARTS.get(law)
+    if parts is None:
         raise ValueError(f"unknown law {tag!r}")
     for part in parts:
         rep = check_law(m, part)
@@ -270,12 +241,8 @@ def holds(m: Magma, law: Law, memo: dict | None = None) -> bool:
         result = check_H(m).holds
     elif tag == "CA":
         result = check_cancellative(m).holds
-    elif tag == "LOOP":
-        result = holds(m, H, memo) and holds(m, NE, memo)
-    elif tag == "GROUP":
-        result = holds(m, A, memo) and holds(m, IN, memo)
-    elif tag == "ABELIAN":
-        result = holds(m, GROUP, memo) and holds(m, C, memo)
+    elif law in PARTS:
+        result = all(holds(m, part, memo) for part in PARTS[law])
     else:
         raise ValueError(f"unknown law {tag!r}")
     if memo is not None and tag != "USER":

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import Magma
-from .enumeration import ALL_MAGMAS, LATIN, EnumSpec, InfeasibleError, tables, validate_spec
-from .laws import Law, check_assignment_cap
+from .enumeration import LATIN, InfeasibleError, models_spec, tables, validate_spec
+from .laws import H, Law, check_assignment_cap
 from .properties import holds
 
 
@@ -33,15 +33,6 @@ class SearchResult:
     order_found: int | None
 
 
-def _enum_spec(spec: SearchSpec, order: int, assumes_h: bool) -> EnumSpec:
-    return EnumSpec(
-        order=order,
-        mode=LATIN if assumes_h else ALL_MAGMAS,
-        constraints=tuple(law for law in spec.assume if law.tag != "H"),
-        non_latin=not assumes_h and spec.refute.tag == "H",
-    )
-
-
 def find_model(spec: SearchSpec, workers: int = 1) -> SearchResult:
     """First magma, in order-then-table order, meeting every assumption and
     failing the refuted law. Feasibility of every order in the range, and
@@ -52,11 +43,14 @@ def find_model(spec: SearchSpec, workers: int = 1) -> SearchResult:
         raise ValueError(f"bad order range {lo}..{hi}")
     if spec.refute.is_equational:
         check_assignment_cap((spec.refute.equation,), hi, InfeasibleError)
-    assumes_h = any(law.tag == "H" for law in spec.assume)
-    especs = [_enum_spec(spec, order, assumes_h) for order in range(lo, hi + 1)]
+    especs = [models_spec(spec.assume, order) for order in range(lo, hi + 1)]
+    latin = especs[0].mode == LATIN
+    if spec.refute == H and not latin:
+        # skip Latin tables in the backtracking rather than filter them out
+        especs = [replace(es, non_latin=True) for es in especs]
     for es in especs:
         validate_spec(es)
-    if assumes_h and spec.refute.tag == "H":
+    if spec.refute == H and latin:
         return SearchResult(spec, None, 0, None)
     examined = 0
     for es in especs:

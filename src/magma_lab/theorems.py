@@ -22,18 +22,16 @@ from .enumeration import (
     EnumSpec,
     InfeasibleError,
     latin_square_count,
+    models_spec,
     order_cap,
     tables,
 )
-from .laws import A, ABELIAN, AGI, AGII, C, CA, CAI, CAII, GROUP, H, IN, LOOP, NE, R, Law
+from .laws import A, ABELIAN, AGI, AGII, C, CA, CAI, CAII, H, IN, LOOP, NE, R, Law
 from .properties import holds
 
 QUASIGROUPS = "quasigroups"
 
 _MODE = {ALL_MAGMAS: ALL_MAGMAS, QUASIGROUPS: LATIN}
-
-# Composite premises stand for the laws that define them.
-_UNFOLD = {ABELIAN: (A, C, NE, IN), GROUP: (A, NE, IN), LOOP: (H, NE)}
 
 
 @dataclass(frozen=True)
@@ -149,19 +147,6 @@ CATALOG = theorem_catalog()
 BY_ID = {t.id: t for t in CATALOG}
 
 
-def premise_spec(premises, domain: str, order: int) -> EnumSpec:
-    """The enumeration that streams exactly the models of premises in domain
-    at one order: H or the quasigroup domain selects Latin squares, the
-    other premises, composites unfolded, become constraints."""
-    laws: list[Law] = []
-    for p in premises:
-        for q in _UNFOLD.get(p, (p,)):
-            if q not in laws:
-                laws.append(q)
-    mode = LATIN if domain == QUASIGROUPS or H in laws else ALL_MAGMAS
-    return EnumSpec(order, mode, tuple(q for q in laws if q != H))
-
-
 def verify_theorems(specs, max_order: int) -> list[VerificationReport]:
     """Check several theorems, streaming the models of each distinct premise
     set once per order for every branch that shares it.
@@ -198,7 +183,7 @@ def verify_theorems(specs, max_order: int) -> list[VerificationReport]:
             for spec in batch:
                 if spec.id not in first:
                     for i, br in enumerate(spec.branches):
-                        pspec = premise_spec(br.premises, domain, order)
+                        pspec = models_spec(br.premises, order, domain == QUASIGROUPS)
                         groups.setdefault(pspec, []).append((spec.id, i, br))
             for pspec, users in groups.items():
                 # The premises hold by construction. CA is never assumed for

@@ -14,12 +14,14 @@ import pytest
 
 from magma_lab import cli
 from magma_lab.cli import main
-from magma_lab.core import format_table
+from magma_lab.core import format_table, magma_from_rows
 from magma_lab.enumeration import ALL_MAGMAS
-from magma_lab.laws import C
+from magma_lab.laws import LOOP, A, C
 from magma_lab.schemas import SCHEMAS
 from magma_lab.structures import zn_add
 from magma_lab.theorems import TheoremSpec, _imp
+
+from reference import ref_holds
 
 ZN_SUB_3 = "3\n0 2 1\n1 0 2\n2 1 0\n"
 ZN_ADD_2 = "2\n0 1\n1 0\n"
@@ -218,6 +220,49 @@ def test_count_json(capsys):
     assert data == {"order": 3, "mode": "latin-squares", "count": 12}
 
 
+def test_count_assume_h_is_the_latin_generator(capsys):
+    # H selects Latin squares, so it reaches order 4 where all magmas stop at 3
+    assert run(capsys, "count", "--order", "4", "--assume", "H") == (0, "576\n", "")
+
+
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+def test_json_reports_the_requested_mode(capsys, command):
+    # LOOP streams Latin squares, but the report names the --mode asked for
+    code, out, _ = run(capsys, command, "--order", "3", "--assume", "LOOP", "--json")
+    assert code == 0
+    data = json.loads(out)
+    jsonschema.validate(data, SCHEMAS[command])
+    assert (data["order"], data["mode"], data["count"]) == (3, "all-magmas", 3)
+
+
+@pytest.mark.parametrize("command", [
+    ("count", "--order", "3"),
+    ("enumerate", "--order", "2"),
+    ("search", "--assume", "C", "--refute", "A", "--orders", "1..2"),
+])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exit_2(capsys, command, workers):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--workers", workers])
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert "--workers: must be at least 1" in cap.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("theorems", "--id", "T1", "--quasigroups"), "not allowed with argument"),
+    (("examples", "--emit", "DIR", "--json"), "not allowed with argument"),
+])
+def test_contradictory_flags_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert message in cap.err
+
+
 def test_search_found(capsys):
     code, out, _ = run(capsys, "search", "--assume", "H", "--assume", "AGI",
                        "--refute", "NE", "--orders", "1..3")
@@ -375,6 +420,26 @@ def test_examples_unknown_id(capsys):
     code, _, err = run(capsys, "examples", "--id", "99")
     assert code == 2
     assert "no example numbered 99" in err
+
+
+def test_examples_id_0_is_not_the_whole_catalog(capsys):
+    code, out, err = run(capsys, "examples", "--id", "0")
+    assert code == 2
+    assert out == ""
+    assert "no example numbered 0" in err
+
+
+def test_search_loop_reaches_the_latin_cap(capsys):
+    code, out, _ = run(capsys, "search", "--assume", "LOOP", "--refute", "A",
+                       "--orders", "1..5", "--json")
+    assert code == 0
+    data = json.loads(out)
+    jsonschema.validate(data, SCHEMAS["search"])
+    assert data["assume"] == ["LOOP"]
+    assert data["order"] == 5
+    found = magma_from_rows(data["found"])
+    assert ref_holds(found, LOOP)
+    assert not ref_holds(found, A)
 
 
 def test_examples_json(capsys):

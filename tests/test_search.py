@@ -1,10 +1,16 @@
+from functools import lru_cache
+from itertools import product
+
 import pytest
 
 from magma_lab import search
+from magma_lab.core import Magma
 from magma_lab.dsl import parse_spec
 from magma_lab.enumeration import InfeasibleError
-from magma_lab.laws import ABELIAN, AGI, AGII, CAI, H, NE, R, A, C
+from magma_lab.laws import ABELIAN, AGI, AGII, CA, CAI, GROUP, H, LOOP, NE, R, A, C
 from magma_lab.search import SearchSpec, find_model, independence_matrix
+
+from reference import ref_holds
 
 
 def test_hagi_model_without_neutral():
@@ -96,3 +102,51 @@ def test_independence_of_the_three_grouplike_identities():
     assert mat[(R, AGI)].examined == 4
     assert mat[(R, AGI)].found.rows() == [[0, 0], [1, 1]]
     assert mat[(R, AGII)].found.rows() == [[0, 0], [1, 1]]
+
+
+@lru_cache(maxsize=None)
+def _all_magmas(n):
+    return tuple(Magma(n, t) for t in product(range(n), repeat=n * n))
+
+
+def _naive_search(assume, refute, lo, hi):
+    """Filter every magma, in order-then-table order, through the reference
+    laws. A search that refutes H streams only non-Latin tables, so only
+    those count as examined."""
+    examined = 0
+    for n in range(lo, hi + 1):
+        for m in _all_magmas(n):
+            if not all(ref_holds(m, law) for law in assume):
+                continue
+            if refute == H and ref_holds(m, H):
+                continue
+            examined += 1
+            if not ref_holds(m, refute):
+                return m.table, examined
+    return None, examined
+
+
+@pytest.mark.parametrize("assume", [(LOOP,), (GROUP,), (ABELIAN,), (H, H), (GROUP, NE, A)])
+@pytest.mark.parametrize("refute", [A, C, H, NE, CA, CAI])
+def test_composite_assumptions_match_naive_filter(assume, refute):
+    res = find_model(SearchSpec(assume=assume, refute=refute, orders=(1, 3)))
+    found = res.found.table if res.found is not None else None
+    assert (found, res.examined) == _naive_search(assume, refute, 1, 3)
+
+
+def test_smallest_nonassociative_loop_has_order_5():
+    # LOOP unfolds to H and NE, so the search streams Latin squares and
+    # reaches the Latin cap, past the all-magmas cap of 3
+    res = find_model(SearchSpec(assume=(LOOP,), refute=A, orders=(1, 5)))
+    assert res.order_found == 5
+    assert ref_holds(res.found, LOOP)
+    assert not ref_holds(res.found, A)
+
+
+def test_group_assumption_reaches_order_4_through_a():
+    res = find_model(SearchSpec(assume=(GROUP,), refute=C, orders=(1, 4)))
+    assert res.found is None
+    # the labelled groups: 1, 2, 3 and 16 of orders 1 to 4, all abelian
+    assert res.examined == 22
+    with pytest.raises(InfeasibleError, match="exceeds the all-magmas cap 4"):
+        find_model(SearchSpec(assume=(GROUP,), refute=C, orders=(1, 5)))
