@@ -22,7 +22,7 @@ from .dsl import format_law, parse_law, parse_spec
 from .enumeration import ALL_MAGMAS, LATIN, count as count_tables, models_spec, tables
 from .properties import check_law, classify
 from .search import SearchSpec, find_model
-from .structures import builtin, example_suite
+from .structures import example_suite
 from .theorems import CATALOG, BY_ID, QUASIGROUPS, verify_theorems
 
 _MODES = {"all": ALL_MAGMAS, "latin": LATIN}

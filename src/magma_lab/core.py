@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 CANONICAL_CAP = 7
 
@@ -107,13 +108,14 @@ def parse_table(text: str) -> Magma:
     return magma_from_rows(rows)
 
 
+@lru_cache(maxsize=8)
+def _table_template(n: int) -> str:
+    return f"{n}\n" + ("{} " * (n - 1) + "{}\n") * n
+
+
 def format_table(m: Magma) -> str:
     """Inverse of parse_table; ends with a newline."""
-    n = m.order
-    lines = [str(n)]
-    for r in range(n):
-        lines.append(" ".join(str(v) for v in m.table[r * n:(r + 1) * n]))
-    return "\n".join(lines) + "\n"
+    return _table_template(m.order).format(*m.table)
 
 
 def relabel(m: Magma, perm: Sequence[int]) -> Magma:

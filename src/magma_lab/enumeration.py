@@ -2,9 +2,10 @@
 
 Two generation modes: every magma, or Latin squares only (rows and columns
 are permutations). Equational constraints are pushed into the backtracking:
-each ground instance of a constraint is parked on the first table cell its
-evaluation needs, re-examined whenever that cell is filled, and the branch
-is pruned as soon as an instance evaluates to a mismatch.
+each constraint is compiled once per order into generated straight-line
+code, each ground instance of it is parked on the first table cell its
+evaluation needs, re-checked by that code whenever the cell is filled, and
+the branch is pruned as soon as an instance evaluates to a mismatch.
 
 The search tree splits at the first row, so work can be farmed out to
 worker processes; sub-streams are merged back in first-row order, which
@@ -109,90 +110,93 @@ def validate_spec(spec: EnumSpec) -> None:
     check_assignment_cap([law.equation for law in eqs], spec.order, InfeasibleError)
 
 
+def _checker_source(code, n: int) -> str:
+    """Python source of check(T, env) for a program at order n: -1
+    satisfied, -2 violated, else the first unfilled cell of T the instance
+    at env needs, the lhs's cells coming first.
+
+    Straight-line code, one table lookup per APPLY. The source is built
+    from integers only, so no user text reaches exec.
+    """
+    n = int(n)
+    stack: list = []
+    lines = [", ".join(f"e{s}" for s in range(max(code) + 1)) + ", = env"]
+    for c in code:
+        if c >= 0:
+            stack.append(f"e{int(c)}")
+            continue
+        b = stack.pop()
+        a = stack.pop()
+        t = f"t{len(stack)}"
+        lines += [f"i = {a} * {n} + {b}", f"{t} = T[i]", f"if {t} is None: return i"]
+        stack.append(t)
+    lhs, rhs = stack
+    lines.append(f"return -1 if {lhs} == {rhs} else -2")
+    return "def check(T, env):\n    " + "\n    ".join(lines) + "\n"
+
+
+def _checker(code, n: int):
+    scope: dict = {}
+    exec(_checker_source(code, n), {"__builtins__": {}}, scope)
+    return scope["check"]
+
+
 @lru_cache(maxsize=1)
-def _instances(programs, n: int) -> tuple:
-    """Ground every program: slots replaced by values, APPLY stays -1.
+def _parking(programs, n: int):
+    """Every ground instance as (checker, assignment), parked on the first
+    cell it needs in the empty table: a tuple indexed by cell. None when an
+    instance is violated before any cell is filled.
 
     Cached, so a process grounds a spec once for all its first-row jobs.
     """
-    return tuple(
-        tuple(env[c] if c >= 0 else -1 for c in code)
-        for k, code in programs
-        for env in product(range(n), repeat=k)
-    )
+    parked: list = [[] for _ in range(n * n)]
+    empty = [None] * (n * n)
+    for k, code in programs:
+        check = _checker(code, n)
+        for env in product(range(n), repeat=k):
+            res = check(empty, env)
+            if res == -2:
+                return None
+            if res >= 0:
+                parked[res].append((check, env))
+    return tuple(map(tuple, parked))
 
 
-def _try_instance(inst, table, n: int) -> int:
-    """-1 satisfied, -2 violated, else the first unfilled cell the instance
-    needs, the lhs's cells coming first."""
-    stack = []
-    for c in inst:
-        if c >= 0:
-            stack.append(c)
-        else:
-            b = stack.pop()
-            a = stack.pop()
-            v = table[a * n + b]
-            if v is None:
-                return a * n + b
-            stack.append(v)
-    return -1 if stack[0] == stack[1] else -2
-
-
-def _run(n: int, latin: bool, insts, prefix, non_latin: bool, collect) -> int:
+def _run(n: int, latin: bool, parking, prefix, non_latin: bool, collect) -> int:
     """Backtrack over cells in row-major order, the first cells fixed to
     prefix. Returns the number of tables accepted; appends flat tuples to
-    collect when it is a list."""
+    collect when it is a list.
+
+    parking is a _parking result; each instance parked on a cell is
+    re-checked when that cell is filled and moves on to the next cell it
+    needs, or prunes the branch.
+    """
+    if parking is None:
+        return 0
     n2 = n * n
     table: list = [None] * n2
     full = (1 << n) - 1
     row_used = [0] * n
     col_used = [0] * n
-    parked: dict[int, list] = {}
+    parked = [list(cell) for cell in parking]
+    value = {1 << v: v for v in range(n)}
     fixed = len(prefix)
-    values = range(n)
     count = 0
 
-    for inst in insts:
-        res = _try_instance(inst, table, n)
-        if res == -2:
-            return 0
-        if res >= 0:
-            parked.setdefault(res, []).append(inst)
-
-    def place(pos: int, v: int):
-        """Fill pos with v and re-examine the instances parked on it; None
-        when one is violated, with the placement undone."""
-        r, c = divmod(pos, n)
-        ru = row_used[r]
-        cu = col_used[c]
-        table[pos] = v
-        row_used[r] = ru | (1 << v)
-        col_used[c] = cu | (1 << v)
-        pend = parked.pop(pos, None)
-        if pend is None:
-            return (r, c, ru, cu, None, None)
-        moved: list = []
-        tok = (r, c, ru, cu, moved, pend)
+    def settle(pend):
+        """Re-check the instances parked on a cell just filled. The cells
+        they moved to, or None, with those moves undone, on a violation."""
+        moved = []
         for inst in pend:
-            res = _try_instance(inst, table, n)
-            if res == -2:
-                unplace(pos, tok)
-                return None
+            res = inst[0](table, inst[1])
             if res >= 0:
-                parked.setdefault(res, []).append(inst)
+                parked[res].append(inst)
                 moved.append(res)
-        return tok
-
-    def unplace(pos: int, tok) -> None:
-        r, c, ru, cu, moved, pend = tok
-        if pend is not None:
-            for cell in reversed(moved):
-                parked[cell].pop()
-            parked[pos] = pend
-        row_used[r] = ru
-        col_used[c] = cu
-        table[pos] = None
+            elif res == -2:
+                for cell in reversed(moved):
+                    parked[cell].pop()
+                return None
+        return moved
 
     def go(pos: int) -> None:
         nonlocal count
@@ -205,24 +209,30 @@ def _run(n: int, latin: bool, insts, prefix, non_latin: bool, collect) -> int:
             if collect is not None:
                 collect.append(tuple(table))
             return
-        if latin:
-            r, c = divmod(pos, n)
-            avail = full & ~(row_used[r] | col_used[c])
-            if pos < fixed:
-                avail &= 1 << prefix[pos]
-            while avail:
-                bit = avail & -avail
-                avail ^= bit
-                tok = place(pos, bit.bit_length() - 1)
-                if tok is not None:
-                    go(pos + 1)
-                    unplace(pos, tok)
-        else:
-            for v in ((prefix[pos],) if pos < fixed else values):
-                tok = place(pos, v)
-                if tok is not None:
-                    go(pos + 1)
-                    unplace(pos, tok)
+        r, c = divmod(pos, n)
+        ru = row_used[r]
+        cu = col_used[c]
+        pend = parked[pos]
+        avail = full & ~(ru | cu) if latin else full
+        if pos < fixed:
+            avail &= 1 << prefix[pos]
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            table[pos] = value[bit]
+            row_used[r] = ru | bit
+            col_used[c] = cu | bit
+            if not pend:
+                go(pos + 1)
+                continue
+            moved = settle(pend)
+            if moved is not None:
+                go(pos + 1)
+                for cell in reversed(moved):
+                    parked[cell].pop()
+        row_used[r] = ru
+        col_used[c] = cu
+        table[pos] = None
 
     go(0)
     return count
@@ -234,7 +244,7 @@ def latin_square_count(n: int) -> int:
     Renaming the values maps each square to exactly one whose first row is
     0..n-1, so the count is n! times the number of those.
     """
-    return factorial(n) * _run(n, True, (), tuple(range(n)), False, None)
+    return factorial(n) * _run(n, True, ((),) * (n * n), tuple(range(n)), False, None)
 
 
 def _prefixes(spec: EnumSpec):
@@ -249,7 +259,7 @@ def _subtree(job):
     their number when the job asks to count."""
     n, latin, non_latin, programs, prefix, counting = job
     out = None if counting else []
-    accepted = _run(n, latin, _instances(programs, n), prefix, non_latin, out)
+    accepted = _run(n, latin, _parking(programs, n), prefix, non_latin, out)
     return accepted if counting else out
 
 

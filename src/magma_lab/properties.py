@@ -219,6 +219,22 @@ def local_identities(m: Magma, a: int) -> LocalIdentities:
     return LocalIdentities(a, right, left)
 
 
+class _PartMemo(dict):
+    """The memo a composite law gives its parts when the caller gave none.
+    It also keeps the neutral scan, so the NE and IN parts share one."""
+
+    neutrals = None
+
+
+def _two_sided(m: Magma, memo) -> int | None:
+    """The two-sided neutral of m, or None; one scan per _PartMemo."""
+    if not isinstance(memo, _PartMemo):
+        return find_neutrals(m).two_sided
+    if memo.neutrals is None:
+        memo.neutrals = find_neutrals(m)
+    return memo.neutrals.two_sided
+
+
 def holds(m: Magma, law: Law, memo: dict | None = None) -> bool:
     """Whether law holds, decided by the same scans as check_law.
 
@@ -233,16 +249,17 @@ def holds(m: Magma, law: Law, memo: dict | None = None) -> bool:
     if law.equation is not None:
         result = _equation_failure(m, law.equation) is None
     elif tag == "NE":
-        result = find_neutrals(m).two_sided is not None
+        result = _two_sided(m, memo) is not None
     elif tag == "IN":
-        e = find_neutrals(m).two_sided
+        e = _two_sided(m, memo)
         result = e is not None and _inverse_report(m, e).holds
     elif tag == "H":
         result = check_H(m).holds
     elif tag == "CA":
         result = check_cancellative(m).holds
     elif law in PARTS:
-        result = all(holds(m, part, memo) for part in PARTS[law])
+        parts_memo = _PartMemo() if memo is None else memo
+        result = all(holds(m, part, parts_memo) for part in PARTS[law])
     else:
         raise ValueError(f"unknown law {tag!r}")
     if memo is not None and tag != "USER":

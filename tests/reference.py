@@ -17,6 +17,36 @@ def eval_term(term, env, m):
     return m.op(eval_term(term[0], env, m), eval_term(term[1], env, m))
 
 
+def _partial_eval(term, env, table, n):
+    """(value, None), or (None, cell) for the first unfilled cell the term
+    needs, the left operand's cells before the right's."""
+    if isinstance(term, str):
+        return env[term], None
+    a, need = _partial_eval(term[0], env, table, n)
+    if need is not None:
+        return None, need
+    b, need = _partial_eval(term[1], env, table, n)
+    if need is not None:
+        return None, need
+    if table[a * n + b] is None:
+        return None, a * n + b
+    return table[a * n + b], None
+
+
+def partial_check(eq, values, table, n):
+    """An equation at one assignment on a partial flat table (None marks an
+    unfilled cell): -1 when both sides are known and equal, -2 when they
+    differ, else the first unfilled cell needed, the lhs's cells first."""
+    env = dict(zip(eq.variables, values))
+    sides = []
+    for term in (eq.lhs, eq.rhs):
+        value, need = _partial_eval(term, env, table, n)
+        if need is not None:
+            return need
+        sides.append(value)
+    return -1 if sides[0] == sides[1] else -2
+
+
 def equation_holds(m, eq):
     names = eq.variables
     for values in product(range(m.order), repeat=len(names)):

@@ -486,6 +486,14 @@ def test_enumerate_workers_agree(capsys):
     assert par == base
 
 
+def test_constrained_enumerate_workers_agree(capsys):
+    argv = ("enumerate", "--order", "4", "--assume", "AGII")
+    code, base, _ = run(capsys, *argv, "--workers", "1")
+    assert code == 0
+    assert base.endswith("\n2249 tables\n")
+    assert run(capsys, *argv, "--workers", "2")[1] == base
+
+
 LONG_CHAIN = " + ".join(["a"] * 3000) + " = a"
 WIDE = " + ".join("abcdefghijklmno") + " = a"  # 15 variables: 3^15 assignments at order 3
 

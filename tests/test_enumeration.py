@@ -1,3 +1,5 @@
+import ast
+import re
 from itertools import product
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from magma_lab import enumeration
 from magma_lab.core import Magma, canonical_form
 from magma_lab.enumeration import (
+    ALL_MAGMAS,
     LATIN,
     MAX_ORDER_ENV,
     EnumSpec,
@@ -14,10 +17,10 @@ from magma_lab.enumeration import (
     tables,
     validate_spec,
 )
-from magma_lab.dsl import parse_law
+from magma_lab.dsl import MAX_DEPTH, parse_law
 from magma_lab.laws import CAI, H, IN, NE, R, A, C, Equation, is_tautology, user_law
 
-from reference import is_latin, ref_holds
+from reference import is_latin, partial_check, ref_holds
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -242,3 +245,61 @@ def test_constrained_stream_equals_filtered_stream(laws, n, non_latin):
 def test_tautology_means_equal_sides(lhs, rhs, same):
     rhs = lhs if same else rhs
     assert is_tautology(Equation(lhs, rhs)) == (lhs == rhs)
+
+
+checked_terms = st.recursive(st.sampled_from("abcd"), lambda sub: st.tuples(sub, sub), max_leaves=8)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(checked_terms, checked_terms, st.integers(1, 4), st.data())
+def test_generated_checker_matches_partial_evaluator(lhs, rhs, n, data):
+    eq = Equation(lhs, rhs)
+    cells = st.none() | st.integers(0, n - 1)
+    table = data.draw(st.lists(cells, min_size=n * n, max_size=n * n))
+    env = data.draw(st.tuples(*[st.integers(0, n - 1)] * len(eq.variables)))
+    assert enumeration._checker(eq.code, n)(table, env) == partial_check(eq, env, table, n)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(checked_terms, checked_terms, st.integers(1, 4))
+def test_checker_source_names_only_its_locals(lhs, rhs, n):
+    tree = ast.parse(enumeration._checker_source(Equation(lhs, rhs).code, n))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert all(re.fullmatch(r"T|env|i|[et]\d+", name) for name in names), names
+
+
+def _nested(depth):
+    term = "a + b"
+    for i in range(depth - 1):
+        term = f"{'ba'[i % 2]} + ({term})"
+    return term
+
+
+EDGE_LAWS = {
+    "100-deep parentheses": (f"{_nested(MAX_DEPTH + 1)} = a", (2, 3)),
+    "26 variables": (" + ".join("abcdefghijklmnopqrstuvwxyz") + " = z + a", (1,)),
+    "400-term chain": (" + ".join("a" * 400) + " = a", (2, 3)),
+    "a = b": ("a = b", (1, 2, 3)),
+    "a = a + a": ("a = a + a", (1, 2, 3)),
+    "tautology": ("a + (b + a) = a + (b + a)", (1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("text, orders", EDGE_LAWS.values(), ids=EDGE_LAWS)
+def test_edge_laws_match_the_filtered_domain(text, orders):
+    law = parse_law(text)
+    for n in orders:
+        models = [m for m in _unconstrained(n) if ref_holds(m, law)]
+        for mode in (ALL_MAGMAS, LATIN):
+            spec = EnumSpec(order=n, mode=mode, constraints=(law,))
+            want = [m.table for m in models if mode == ALL_MAGMAS or is_latin(m)]
+            assert [m.table for m in tables(spec)] == want, (n, mode)
+            assert count(spec) == len(want), (n, mode)
+
+
+def test_non_latin_matches_the_filtered_domain():
+    for n in (1, 2, 3):
+        spec = EnumSpec(order=n, non_latin=True)
+        want = [m.table for m in _unconstrained(n) if not is_latin(m)]
+        assert [m.table for m in tables(spec)] == want
+        assert count(spec) == len(want)

@@ -12,10 +12,8 @@ from magma_lab.laws import (
     AGI,
     AGII,
     ALL_LAWS,
-    CA,
     CAI,
     GROUP,
-    H,
     IN,
     LOOP,
     NE,
@@ -110,6 +108,11 @@ def test_in_scans_for_neutrals_once(monkeypatch):
     calls.clear()
     assert check_law(zn_add(5), IN).holds
     assert len(calls) == 1
+    # without a memo, a composite's NE and IN parts share one scan
+    for law in (GROUP, ABELIAN):
+        calls.clear()
+        assert holds(zn_add(5), law)
+        assert len(calls) == 1
 
 
 def test_identity_check_has_an_assignment_cap():

@@ -6,7 +6,6 @@ from magma_lab.dsl import parse_law
 from magma_lab.laws import ABELIAN, AGI, AGII, CA, H, NE, A, C
 from magma_lab.properties import find_neutrals, holds
 from magma_lab.structures import (
-    ALL,
     ExampleRecord,
     builtin,
     example_suite,

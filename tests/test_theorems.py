@@ -1,6 +1,5 @@
 import pytest
 
-from magma_lab.core import magma_from_rows
 from magma_lab.dsl import parse_law
 from magma_lab.enumeration import (
     LATIN,
