@@ -2,10 +2,11 @@
 
 Two generation modes: every magma, or Latin squares only (rows and columns
 are permutations). Equational constraints are pushed into the backtracking:
-each constraint is compiled once per order into generated straight-line
-code, each ground instance of it is parked on the first table cell its
-evaluation needs, re-checked by that code whenever the cell is filled, and
-the branch is pruned as soon as an instance evaluates to a mismatch.
+each constraint runs as its generated checker (``laws._checker``, the same
+code that decides the equation on a full table), each ground instance of it
+is parked on the first table cell its evaluation needs, re-checked whenever
+that cell is filled, and the branch is pruned as soon as an instance
+evaluates to a mismatch.
 
 The search tree splits at the first row, so work can be farmed out to
 worker processes; sub-streams are merged back in first-row order, which
@@ -23,7 +24,7 @@ from multiprocessing import Pool
 from typing import Iterator
 
 from .core import CANONICAL_CAP, Magma, canonical_form
-from .laws import PARTS, H, Law, check_assignment_cap, is_tautology
+from .laws import PARTS, H, Law, _checker, check_assignment_cap, is_tautology
 from .properties import holds
 
 ALL_MAGMAS = "all-magmas"
@@ -108,37 +109,6 @@ def validate_spec(spec: EnumSpec) -> None:
     if spec.up_to_iso and spec.order > CANONICAL_CAP:
         raise InfeasibleError(f"up_to_iso needs order <= {CANONICAL_CAP}")
     check_assignment_cap([law.equation for law in eqs], spec.order, InfeasibleError)
-
-
-def _checker_source(code, n: int) -> str:
-    """Python source of check(T, env) for a program at order n: -1
-    satisfied, -2 violated, else the first unfilled cell of T the instance
-    at env needs, the lhs's cells coming first.
-
-    Straight-line code, one table lookup per APPLY. The source is built
-    from integers only, so no user text reaches exec.
-    """
-    n = int(n)
-    stack: list = []
-    lines = [", ".join(f"e{s}" for s in range(max(code) + 1)) + ", = env"]
-    for c in code:
-        if c >= 0:
-            stack.append(f"e{int(c)}")
-            continue
-        b = stack.pop()
-        a = stack.pop()
-        t = f"t{len(stack)}"
-        lines += [f"i = {a} * {n} + {b}", f"{t} = T[i]", f"if {t} is None: return i"]
-        stack.append(t)
-    lhs, rhs = stack
-    lines.append(f"return -1 if {lhs} == {rhs} else -2")
-    return "def check(T, env):\n    " + "\n    ".join(lines) + "\n"
-
-
-def _checker(code, n: int):
-    scope: dict = {}
-    exec(_checker_source(code, n), {"__builtins__": {}}, scope)
-    return scope["check"]
 
 
 @lru_cache(maxsize=1)

@@ -3,11 +3,17 @@
 A term is either a variable name (a single lowercase letter) or a pair
 ``(left, right)`` meaning ``left + right``. Equations are universally
 quantified over their variables.
+
+An equation compiles to a postfix program (``Equation.code``). ``evaluate``
+runs a program over any operation; on a finite table, ``_checker`` turns it
+into generated straight-line code, the one decision procedure for an
+equation that law checks and the backtracker share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 APPLY = -1
 
@@ -51,6 +57,40 @@ def evaluate(code, env, op) -> list:
             b = stack.pop()
             stack.append(op(stack.pop(), b))
     return stack
+
+
+def _checker_source(code, n: int) -> str:
+    """Python source of check(T, env) for a program at order n: -1
+    satisfied, -2 violated, else the first unfilled cell of T the instance
+    at env needs, the lhs's cells coming first. On a full table the result
+    is -1 or -2.
+
+    Straight-line code, one table lookup per APPLY. The source is built
+    from integers only, so no user text reaches exec.
+    """
+    n = int(n)
+    stack: list = []
+    lines = [", ".join(f"e{s}" for s in range(max(code) + 1)) + ", = env"]
+    for c in code:
+        if c >= 0:
+            stack.append(f"e{int(c)}")
+            continue
+        b = stack.pop()
+        a = stack.pop()
+        t = f"t{len(stack)}"
+        lines += [f"i = {a} * {n} + {b}", f"{t} = T[i]", f"if {t} is None: return i"]
+        stack.append(t)
+    lhs, rhs = stack
+    lines.append(f"return -1 if {lhs} == {rhs} else -2")
+    return "def check(T, env):\n    " + "\n    ".join(lines) + "\n"
+
+
+@lru_cache(maxsize=256)
+def _checker(code, n: int):
+    """The compiled check(T, env) of a program at order n, built on first use."""
+    scope: dict = {}
+    exec(_checker_source(code, n), {"__builtins__": {}}, scope)
+    return scope["check"]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,10 @@
 """Decision procedures for the built-in laws, with reproducible witnesses.
 
+Each law has one decision procedure. An equation is decided by its
+generated checker from ``laws``, the code the backtracker runs too; NE, IN,
+H and CA by the scans below. ``check_law`` reports and ``holds`` answers
+through the same dispatch, ``_check``.
+
 Failure witnesses are always the lexicographically first failing variable
 assignment (last variable varying fastest), so repeated runs and different
 implementations of the same scan agree byte for byte.
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import Magma
-from .laws import CA, H, IN, PARTS, A, C, Equation, Law, check_assignment_cap
+from .laws import CA, H, IN, PARTS, A, C, Law, _checker, check_assignment_cap
 
 
 @dataclass(frozen=True)
@@ -68,37 +73,19 @@ class StructureReport:
     inverses: tuple | None  # inverses[a] = some two-sided inverse of a, or None
 
 
-def _equation_failure(m: Magma, eq: Equation):
-    """First assignment violating eq, or None. Shared by report and holds paths."""
-    n = m.order
-    t = m.table
-    code = eq.code
-    stack: list[int] = []
-    push = stack.append
-    pop = stack.pop
-    for env in product(range(n), repeat=len(eq.variables)):
-        stack.clear()
-        for c in code:
-            if c >= 0:
-                push(env[c])
-            else:
-                b = pop()
-                push(t[pop() * n + b])
-        if stack[0] != stack[1]:
-            return env
-    return None
-
-
 def check_identity_law(m: Magma, law: Law) -> CheckReport:
-    """Check a purely equational law over all assignments."""
-    if law.equation is None:
+    """Check a purely equational law over all assignments, by its generated
+    checker."""
+    eq = law.equation
+    if eq is None:
         raise ValueError(f"law {law.tag} is not purely equational")
-    check_assignment_cap((law.equation,), m.order)
-    env = _equation_failure(m, law.equation)
-    if env is None:
-        return CheckReport(m.order, law, True)
-    witness = dict(zip(law.equation.variables, env))
-    return CheckReport(m.order, law, False, witness)
+    check_assignment_cap((eq,), m.order)
+    check = _checker(eq.code, m.order)
+    t = m.table
+    for env in product(range(m.order), repeat=len(eq.variables)):
+        if check(t, env) == -2:
+            return CheckReport(m.order, law, False, dict(zip(eq.variables, env)))
+    return CheckReport(m.order, law, True)
 
 
 def find_neutrals(m: Magma) -> NeutralReport:
@@ -109,6 +96,18 @@ def find_neutrals(m: Magma) -> NeutralReport:
     right = tuple(e for e in range(n) if t[e::n] == ident)
     two = next((e for e in left if e in right), None)
     return NeutralReport(left, right, two)
+
+
+_LAST_NEUTRALS: list = [None, None]  # the last magma scanned and its report
+
+
+def _neutrals(m: Magma) -> NeutralReport:
+    """find_neutrals(m), kept for the last magma scanned, so the NE and IN
+    checks of one table share one scan. Keyed on identity: the slot holds m,
+    so no new magma can reuse its id while it is cached."""
+    if _LAST_NEUTRALS[0] is not m:
+        _LAST_NEUTRALS[:] = m, find_neutrals(m)
+    return _LAST_NEUTRALS[1]
 
 
 def _inverse_scan(m: Magma, e: int):
@@ -173,17 +172,13 @@ def check_cancellative(m: Magma) -> CheckReport:
     return CheckReport(m.order, CA, True)
 
 
-def check_law(m: Magma, law: Law) -> CheckReport:
-    """CheckReport for any law, structural and composite ones included.
-
-    Composite laws report the first missing part in the detail; the
-    witness, when one exists, comes from that part's own check.
-    """
+def _check(m: Magma, law: Law) -> CheckReport:
+    """CheckReport for an equational law, NE, IN, H or CA."""
     if law.equation is not None:
         return check_identity_law(m, law)
     tag = law.tag
     if tag == "NE":
-        rep = find_neutrals(m)
+        rep = _neutrals(m)
         detail = {
             "left": list(rep.left),
             "right": list(rep.right),
@@ -191,17 +186,26 @@ def check_law(m: Magma, law: Law) -> CheckReport:
         }
         return CheckReport(m.order, law, rep.two_sided is not None, None, detail)
     if tag == "IN":
-        rep = find_neutrals(m)
-        if rep.two_sided is None:
+        e = _neutrals(m).two_sided
+        if e is None:
             return CheckReport(m.order, law, False, None, {"missing": "NE"})
-        return _inverse_report(m, rep.two_sided)
+        return _inverse_report(m, e)
     if tag == "H":
         return check_H(m)
     if tag == "CA":
         return check_cancellative(m)
+    raise ValueError(f"unknown law {tag!r}")
+
+
+def check_law(m: Magma, law: Law) -> CheckReport:
+    """CheckReport for any law, structural and composite ones included.
+
+    Composite laws report the first missing part in the detail; the
+    witness, when one exists, comes from that part's own check.
+    """
     parts = PARTS.get(law)
     if parts is None:
-        raise ValueError(f"unknown law {tag!r}")
+        return _check(m, law)
     for part in parts:
         rep = check_law(m, part)
         if not rep.holds:
@@ -219,24 +223,8 @@ def local_identities(m: Magma, a: int) -> LocalIdentities:
     return LocalIdentities(a, right, left)
 
 
-class _PartMemo(dict):
-    """The memo a composite law gives its parts when the caller gave none.
-    It also keeps the neutral scan, so the NE and IN parts share one."""
-
-    neutrals = None
-
-
-def _two_sided(m: Magma, memo) -> int | None:
-    """The two-sided neutral of m, or None; one scan per _PartMemo."""
-    if not isinstance(memo, _PartMemo):
-        return find_neutrals(m).two_sided
-    if memo.neutrals is None:
-        memo.neutrals = find_neutrals(m)
-    return memo.neutrals.two_sided
-
-
 def holds(m: Magma, law: Law, memo: dict | None = None) -> bool:
-    """Whether law holds, decided by the same scans as check_law.
+    """Whether law holds, decided by the same checks as check_law.
 
     memo caches built-in tags per magma. Composite laws go through holds
     again for their parts, so the parts are cached too.
@@ -246,22 +234,11 @@ def holds(m: Magma, law: Law, memo: dict | None = None) -> bool:
         cached = memo.get(tag)
         if cached is not None:
             return cached
-    if law.equation is not None:
-        result = _equation_failure(m, law.equation) is None
-    elif tag == "NE":
-        result = _two_sided(m, memo) is not None
-    elif tag == "IN":
-        e = _two_sided(m, memo)
-        result = e is not None and _inverse_report(m, e).holds
-    elif tag == "H":
-        result = check_H(m).holds
-    elif tag == "CA":
-        result = check_cancellative(m).holds
-    elif law in PARTS:
-        parts_memo = _PartMemo() if memo is None else memo
-        result = all(holds(m, part, parts_memo) for part in PARTS[law])
+    parts = PARTS.get(law)
+    if parts is None:
+        result = _check(m, law).holds
     else:
-        raise ValueError(f"unknown law {tag!r}")
+        result = all(holds(m, part, memo) for part in parts)
     if memo is not None and tag != "USER":
         memo[tag] = result
     return result

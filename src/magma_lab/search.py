@@ -35,29 +35,29 @@ class SearchResult:
 
 def find_model(spec: SearchSpec, workers: int = 1) -> SearchResult:
     """First magma, in order-then-table order, meeting every assumption and
-    failing the refuted law. Feasibility of every order in the range, and
-    of checking the refuted law at the top order, is checked up front so a
-    late cap error cannot waste the early orders."""
+    failing the refuted law. Feasibility is checked up front, at the top
+    order alone since every cap grows with the order, so a late cap error
+    cannot waste the early orders; each order's spec is built as it is
+    streamed."""
     lo, hi = spec.orders
     if lo < 1 or hi < lo:
         raise ValueError(f"bad order range {lo}..{hi}")
     if spec.refute.is_equational:
         check_assignment_cap((spec.refute.equation,), hi, InfeasibleError)
-    especs = [models_spec(spec.assume, order) for order in range(lo, hi + 1)]
-    latin = especs[0].mode == LATIN
-    if spec.refute == H and not latin:
-        # skip Latin tables in the backtracking rather than filter them out
-        especs = [replace(es, non_latin=True) for es in especs]
-    for es in especs:
-        validate_spec(es)
-    if spec.refute == H and latin:
+    top = models_spec(spec.assume, hi)
+    # refuting H over all magmas skips Latin tables in the backtracking
+    # rather than filtering them out
+    non_latin = spec.refute == H and top.mode != LATIN
+    validate_spec(replace(top, non_latin=non_latin))
+    if spec.refute == H and top.mode == LATIN:
         return SearchResult(spec, None, 0, None)
     examined = 0
-    for es in especs:
+    for order in range(lo, hi + 1):
+        es = replace(models_spec(spec.assume, order), non_latin=non_latin)
         for m in tables(es, workers):
             examined += 1
             if not holds(m, spec.refute):
-                return SearchResult(spec, m, examined, es.order)
+                return SearchResult(spec, m, examined, order)
     return SearchResult(spec, None, examined, None)
 
 

@@ -47,6 +47,15 @@ def partial_check(eq, values, table, n):
     return -1 if sides[0] == sides[1] else -2
 
 
+def first_failure(m, eq):
+    """The first assignment, as a dict, on which the two sides differ, or None."""
+    for values in product(range(m.order), repeat=len(eq.variables)):
+        env = dict(zip(eq.variables, values))
+        if eval_term(eq.lhs, env, m) != eval_term(eq.rhs, env, m):
+            return env
+    return None
+
+
 def equation_holds(m, eq):
     names = eq.variables
     for values in product(range(m.order), repeat=len(names)):

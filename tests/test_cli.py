@@ -12,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from magma_lab import cli
+from magma_lab import cli, search
 from magma_lab.cli import main
 from magma_lab.core import format_table, magma_from_rows
 from magma_lab.enumeration import ALL_MAGMAS
@@ -316,6 +316,23 @@ def test_search_malformed_orders(capsys):
                        "--orders", "3-1")
     assert code == 2
     assert "malformed order range" in err
+
+
+def test_search_cap_is_checked_without_building_every_order(capsys, monkeypatch):
+    calls = []
+    real = search.models_spec
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "models_spec", counted)
+    code, out, err = run(capsys, "search", "--assume", "A", "--refute", "NE",
+                         "--orders", "1..1000000000000")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the all-magmas cap 4" in err
+    assert len(calls) <= 2
 
 
 def test_theorems_text(capsys):

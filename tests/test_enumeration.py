@@ -1,11 +1,12 @@
 import ast
+import random
 import re
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magma_lab import enumeration
+from magma_lab import enumeration, laws
 from magma_lab.core import Magma, canonical_form
 from magma_lab.enumeration import (
     ALL_MAGMAS,
@@ -19,8 +20,10 @@ from magma_lab.enumeration import (
 )
 from magma_lab.dsl import MAX_DEPTH, parse_law
 from magma_lab.laws import CAI, H, IN, NE, R, A, C, Equation, is_tautology, user_law
+from magma_lab.properties import check_law
+from magma_lab.structures import proj1, zn_add
 
-from reference import is_latin, partial_check, ref_holds
+from reference import first_failure, is_latin, partial_check, ref_holds
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -257,13 +260,13 @@ def test_generated_checker_matches_partial_evaluator(lhs, rhs, n, data):
     cells = st.none() | st.integers(0, n - 1)
     table = data.draw(st.lists(cells, min_size=n * n, max_size=n * n))
     env = data.draw(st.tuples(*[st.integers(0, n - 1)] * len(eq.variables)))
-    assert enumeration._checker(eq.code, n)(table, env) == partial_check(eq, env, table, n)
+    assert laws._checker(eq.code, n)(table, env) == partial_check(eq, env, table, n)
 
 
 @settings(PROPERTY, max_examples=100)
 @given(checked_terms, checked_terms, st.integers(1, 4))
 def test_checker_source_names_only_its_locals(lhs, rhs, n):
-    tree = ast.parse(enumeration._checker_source(Equation(lhs, rhs).code, n))
+    tree = ast.parse(laws._checker_source(Equation(lhs, rhs).code, n))
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert all(re.fullmatch(r"T|env|i|[et]\d+", name) for name in names), names
 
@@ -295,6 +298,18 @@ def test_edge_laws_match_the_filtered_domain(text, orders):
             want = [m.table for m in models if mode == ALL_MAGMAS or is_latin(m)]
             assert [m.table for m in tables(spec)] == want, (n, mode)
             assert count(spec) == len(want), (n, mode)
+
+
+@pytest.mark.parametrize("text, orders", EDGE_LAWS.values(), ids=EDGE_LAWS)
+def test_edge_laws_check_like_the_naive_scan(text, orders):
+    law = parse_law(text)
+    for n in orders:
+        rng = random.Random(n)
+        randoms = [Magma(n, [rng.randrange(n) for _ in range(n * n)]) for _ in range(2)]
+        for m in [zn_add(n), proj1(n), *randoms]:
+            first = first_failure(m, law.equation)
+            rep = check_law(m, law)
+            assert (rep.holds, rep.witness) == (first is None, first), (n, m)
 
 
 def test_non_latin_matches_the_filtered_domain():

@@ -1,16 +1,21 @@
-"""Every imported name is read somewhere in its module.
+"""Dead names, found by two stdlib-ast scans.
 
-A stdlib-ast scan of src/magma_lab/*.py and tests/*.py; __init__.py is
-left out, since its imports are the package's re-exports.
+Every imported name is read somewhere in its module: a scan of
+src/magma_lab/*.py and tests/*.py, leaving out __init__.py, since its
+imports are the package's re-exports.
+
+Every private top-level function, class or assignment in src/magma_lab/*.py
+is read somewhere in src/, outside its own definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(ROOT.glob("src/magma_lab/*.py"))
 FILES = sorted(
-    p for p in [*ROOT.glob("src/magma_lab/*.py"), *ROOT.glob("tests/*.py")]
-    if p.name != "__init__.py"
+    p for p in [*SOURCES, *ROOT.glob("tests/*.py")] if p.name != "__init__.py"
 )
 
 
@@ -40,3 +45,68 @@ def test_no_unused_imports():
 def test_scan_sees_an_unused_import():
     source = "import os\nfrom typing import Iterable, Sequence\nx: Sequence = os.sep\n"
     assert unused_imports(source) == [(2, "Iterable")]
+
+
+def _reads(node) -> Counter:
+    """Bare names read under node."""
+    return Counter(
+        n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def _taken_from(tree, module: str):
+    """Names that tree imports from module or reads as module.name."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[-1] == module:
+            yield from (alias.name for alias in n.names)
+        elif isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == module:
+            yield n.attr
+
+
+def _private_definitions(tree):
+    """(name, line, node) for each private top-level def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) of each private top-level name in sources (module
+    name to source text) that is read neither in its own module, outside its
+    own definition, nor by another module that imports it from there."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    unread = []
+    for module, tree in trees.items():
+        own = _reads(tree)
+        taken = {
+            name for other, t in trees.items() if other != module for name in _taken_from(t, module)
+        }
+        unread += [
+            (module, line, name)
+            for name, line, node in _private_definitions(tree)
+            if own[name] == _reads(node)[name] and name not in taken
+        ]
+    return sorted(unread)
+
+
+def test_no_unread_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unread_private_names(sources) == []
+
+
+def test_scan_sees_an_unread_private_name():
+    sources = {
+        "a": "_used = 1\n_stale = 2\n\ndef _loop(k):\n    return _loop(k - 1)\n",
+        "b": "from .a import _used\nx = _used\n",
+        "c": "from pkg import a\ny = a._used\n\ndef _used():\n    pass\n",
+    }
+    want = [("a", 2, "_stale"), ("a", 4, "_loop"), ("c", 4, "_used")]
+    assert unread_private_names(sources) == want

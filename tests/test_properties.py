@@ -108,10 +108,15 @@ def test_in_scans_for_neutrals_once(monkeypatch):
     calls.clear()
     assert check_law(zn_add(5), IN).holds
     assert len(calls) == 1
-    # without a memo, a composite's NE and IN parts share one scan
+    # a composite's NE and IN parts share one scan, with or without a
+    # caller's memo, and in its report
     for law in (GROUP, ABELIAN):
+        for memo in (None, {}):
+            calls.clear()
+            assert holds(zn_add(5), law, memo)
+            assert len(calls) == 1
         calls.clear()
-        assert holds(zn_add(5), law)
+        assert check_law(zn_add(5), law).holds
         assert len(calls) == 1
 
 
