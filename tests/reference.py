@@ -5,7 +5,7 @@ recursive term evaluation, explicit nested loops, set comparisons. No
 sharing with the optimized code paths under test.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 from magma_lab.laws import CA, H
 from magma_lab.properties import CheckReport, NeutralReport
@@ -116,6 +116,22 @@ def is_cancellative(m):
                 if m.op(b, a) == m.op(c, a):
                     return False
     return True
+
+
+def _relabeled(m, p):
+    """The flat table of new(p a, p b) = p(old(a, b))."""
+    n = m.order
+    new = [None] * (n * n)
+    for a in range(n):
+        for b in range(n):
+            new[p[a] * n + p[b]] = p[m.op(a, b)]
+    return tuple(new)
+
+
+def canonical_table(m):
+    """The lexicographically least relabeling of the flat table, over every
+    permutation of the carrier."""
+    return min(_relabeled(m, p) for p in permutations(range(m.order)))
 
 
 def ref_holds(m, law):

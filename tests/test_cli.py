@@ -417,6 +417,16 @@ def test_enumerate_into_closed_pipe_is_quiet():
     assert code == 0
 
 
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "magma_lab", "count", "--order", "3", "--mode", "latin"],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"12\n", b"")
+
+
 def test_examples_text(capsys):
     code, out, _ = run(capsys, "examples")
     assert code == 0

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from magma_lab.core import (
     relabel,
 )
 
+from reference import canonical_table
 from strategies import PROPERTY, magmas
 
 Z2 = magma_from_rows([[0, 1], [1, 0]])
@@ -99,6 +102,28 @@ def test_is_isomorphic():
     assert not is_isomorphic(Z2, Z3_ADD)
 
 
+def _fixed_tables():
+    for n in range(1, 8):
+        r = range(n)
+        yield f"constant {n}", Magma(n, [n - 1] * (n * n))
+        yield f"cyclic {n}", Magma(n, [(a + b) % n for a in r for b in r])
+        yield f"left projection {n}", Magma(n, [a for a in r for b in r])
+        yield f"right projection {n}", Magma(n, [b for a in r for b in r])
+        # Latin, and for n > 2 neither commutative nor with a neutral element
+        yield f"subtraction {n}", Magma(n, [(a - b) % n for a in r for b in r])
+
+
+@pytest.mark.parametrize("m", [pytest.param(m, id=name) for name, m in _fixed_tables()])
+def test_canonical_form_matches_reference_on_fixed_tables(m):
+    assert canonical_form(m).table == canonical_table(m)
+
+
+def test_canonical_form_matches_reference_on_every_order_3_magma():
+    for t in product(range(3), repeat=9):
+        m = Magma(3, t)
+        assert canonical_form(m).table == canonical_table(m), t
+
+
 def test_canonical_cap():
     big = Magma(8, tuple(0 for _ in range(64)))
     with pytest.raises(TableError, match="exceeds canonicalization cap"):
@@ -118,3 +143,9 @@ def test_canonical_form_is_idempotent_and_a_class_invariant(m, data):
     assert canonical_form(form) == form
     perm = data.draw(st.permutations(range(m.order)))
     assert canonical_form(relabel(m, perm)) == form
+
+
+@PROPERTY
+@given(magmas(1, 5))
+def test_canonical_form_matches_reference(m):
+    assert canonical_form(m).table == canonical_table(m)

@@ -23,7 +23,7 @@ from magma_lab.laws import CAI, H, IN, NE, R, A, C, Equation, is_tautology, user
 from magma_lab.properties import check_law
 from magma_lab.structures import proj1, zn_add
 
-from reference import first_failure, is_latin, partial_check, ref_holds
+from reference import canonical_table, first_failure, is_latin, partial_check, ref_holds
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -144,6 +144,19 @@ def test_up_to_iso_emits_canonical_representatives():
     # they cover all 12 squares up to isomorphism
     forms = {canonical_form(m).table for m in tables(EnumSpec(order=3, mode=LATIN))}
     assert forms == {m.table for m in reps}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_up_to_iso_count_is_the_number_of_reference_classes(workers):
+    classes = {canonical_table(Magma(3, t)) for t in product(range(3), repeat=9)}
+    assert count(EnumSpec(3, up_to_iso=True), workers) == len(classes)
+
+
+def test_up_to_iso_latin_stream_is_the_sorted_reference_classes():
+    squares = list(tables(EnumSpec(4, LATIN)))
+    assert len(squares) == 576 and all(is_latin(m) for m in squares)
+    want = sorted({canonical_table(m) for m in squares})
+    assert [m.table for m in tables(EnumSpec(4, LATIN, up_to_iso=True))] == want
 
 
 def test_worker_streams_identical():

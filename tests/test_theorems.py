@@ -1,5 +1,6 @@
 import pytest
 
+from magma_lab.core import Magma
 from magma_lab.dsl import parse_law
 from magma_lab.enumeration import (
     LATIN,
@@ -82,6 +83,20 @@ def test_counterexample_detection_is_deterministic():
     assert rep.counterexample.rows() == [[1, 0], [0, 0]]
     # examined counts the whole domain, not only the models of {C}
     assert rep.structures_examined == 17
+
+
+def test_no_catalog_branch_passes_vacuously():
+    # every law holds in the one-element magma, and a sweep starts at order 1,
+    # so each branch has at least one premise model
+    trivial = Magma(1, (0,))
+    for spec in CATALOG:
+        for br in spec.branches:
+            for law in br.premises + br.conclusions:
+                assert holds(trivial, law) and ref_holds(trivial, law), (br.label, law.tag)
+            models = list(tables(models_spec(br.premises, 1, spec.domain == QUASIGROUPS)))
+            assert models == [trivial], (spec.id, br.label)
+    with pytest.raises(ValueError, match="max order must be positive"):
+        verify_theorems(CATALOG, 0)
 
 
 def test_unknown_id():
