@@ -48,7 +48,7 @@ from .properties import (
     holds,
     local_identities,
 )
-from .search import SearchResult, SearchSpec, find_model, independence_matrix
+from .search import SearchResult, SearchSpec, find_model
 from .structures import (
     BuiltinStructure,
     WindowedOp,
@@ -72,7 +72,7 @@ __all__ = [
     "CheckReport", "NeutralReport", "StructureReport", "check_H",
     "check_cancellative", "check_identity_law", "check_inverses", "check_law",
     "classify", "find_neutrals", "holds", "local_identities",
-    "SearchResult", "SearchSpec", "find_model", "independence_matrix",
+    "SearchResult", "SearchSpec", "find_model",
     "BuiltinStructure", "WindowedOp", "builtin", "example_suite",
     "windowed_check", "windowed_neutrals",
     "CATALOG", "TheoremSpec", "VerificationReport", "theorem_catalog",

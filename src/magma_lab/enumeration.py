@@ -30,9 +30,7 @@ from .properties import holds
 ALL_MAGMAS = "all-magmas"
 LATIN = "latin-squares"
 
-# The largest order each mode enumerates without an equational constraint.
-# A constraint that is not a tautology prunes the search, which buys one
-# order more.
+# The largest order each mode enumerates unconstrained; see validate_spec.
 _PLAIN_CAP = {ALL_MAGMAS: 3, LATIN: 5}
 
 MAX_ORDER_ENV = "MAGMA_LAB_MAX_ORDER"
@@ -76,23 +74,16 @@ def _split_constraints(spec: EnumSpec):
     return eqs, post
 
 
-def order_cap(mode: str, constrained: bool = False) -> int:
-    """The largest order allowed in a mode: MAGMA_LAB_MAX_ORDER when set,
-    else the mode's plain cap, plus one when constrained.
-
-    The one reading of the override, shared by enumeration and the
-    theorem sweeps.
-    """
-    env = os.environ.get(MAX_ORDER_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InfeasibleError(f"bad {MAX_ORDER_ENV} value {env!r}") from None
-    return _PLAIN_CAP[mode] + 1 if constrained else _PLAIN_CAP[mode]
-
-
 def validate_spec(spec: EnumSpec) -> None:
+    """Raise InfeasibleError unless spec is affordable: the one feasibility
+    rule, shared by count, enumerate, search and the theorem sweeps.
+
+    The largest order is the mode's plain cap, 3 for all magmas and 5 for
+    Latin squares, plus one when an equational constraint is not a
+    tautology. MAGMA_LAB_MAX_ORDER, when set, replaces every cap.
+    up_to_iso also needs order <= CANONICAL_CAP, and the equational
+    constraints must stay within the assignment cap at the order.
+    """
     if spec.mode not in (ALL_MAGMAS, LATIN):
         raise InfeasibleError(f"unknown mode {spec.mode!r}")
     if spec.order < 1:
@@ -100,7 +91,14 @@ def validate_spec(spec: EnumSpec) -> None:
     if spec.non_latin and spec.mode == LATIN:
         raise InfeasibleError("non_latin contradicts latin-squares mode")
     eqs, _ = _split_constraints(spec)
-    cap = order_cap(spec.mode, any(not is_tautology(law.equation) for law in eqs))
+    env = os.environ.get(MAX_ORDER_ENV)
+    if env:
+        try:
+            cap = int(env)
+        except ValueError:
+            raise InfeasibleError(f"bad {MAX_ORDER_ENV} value {env!r}") from None
+    else:
+        cap = _PLAIN_CAP[spec.mode] + any(not is_tautology(law.equation) for law in eqs)
     if spec.order > cap:
         raise InfeasibleError(
             f"order {spec.order} exceeds the {spec.mode} cap {cap}; "

@@ -60,17 +60,3 @@ def find_model(spec: SearchSpec, workers: int = 1) -> SearchResult:
                 return SearchResult(spec, m, examined, order)
     return SearchResult(spec, None, examined, None)
 
-
-def independence_matrix(
-    laws, max_order: int = 3, workers: int = 1
-) -> dict[tuple[Law, Law], SearchResult]:
-    """For every ordered pair (p, q) with p != q, search for a model of p
-    that fails q. A found entry shows p alone does not force q."""
-    out: dict[tuple[Law, Law], SearchResult] = {}
-    for p in laws:
-        for q in laws:
-            if p == q:
-                continue
-            spec = SearchSpec(assume=(p,), refute=q, orders=(1, max_order))
-            out[(p, q)] = find_model(spec, workers)
-    return out

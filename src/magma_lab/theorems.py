@@ -18,20 +18,17 @@ from .core import Magma
 from .enumeration import (
     ALL_MAGMAS,
     LATIN,
-    MAX_ORDER_ENV,
     EnumSpec,
     InfeasibleError,
     latin_square_count,
     models_spec,
-    order_cap,
     tables,
+    validate_spec,
 )
 from .laws import A, ABELIAN, AGI, AGII, C, CA, CAI, CAII, H, IN, LOOP, NE, R, Law
 from .properties import holds
 
 QUASIGROUPS = "quasigroups"
-
-_MODE = {ALL_MAGMAS: ALL_MAGMAS, QUASIGROUPS: LATIN}
 
 
 @dataclass(frozen=True)
@@ -153,17 +150,23 @@ def verify_theorems(specs, max_order: int) -> list[VerificationReport]:
 
     The counterexample is the earliest failing model in (order, flat table)
     order across a theorem's branches, the first branch in catalog order on
-    a tie. Examined counts the whole domain, not only the premise models."""
+    a tie. Examined counts the whole domain, not only the premise models.
+
+    Before any order runs, the Latin squares a quasigroup domain counts and
+    every premise stream must pass validate_spec at max_order; a failure is
+    raised as InfeasibleError naming the theorem."""
     if max_order < 1:
         raise ValueError(f"max order must be positive, got {max_order}")
     specs = list(specs)
     for spec in specs:
-        cap = order_cap(_MODE[spec.domain])
-        if max_order > cap:
-            raise InfeasibleError(
-                f"{spec.id} over {spec.domain} caps at order {cap}; "
-                f"set {MAX_ORDER_ENV} to override"
-            )
+        quasi = spec.domain == QUASIGROUPS
+        streams = [EnumSpec(max_order, LATIN)] if quasi else []
+        streams += [models_spec(br.premises, max_order, quasi) for br in spec.branches]
+        try:
+            for es in streams:
+                validate_spec(es)
+        except InfeasibleError as exc:
+            raise InfeasibleError(f"{spec.id}: {exc}") from None
     reports: dict[str, VerificationReport] = {}
     for domain in (ALL_MAGMAS, QUASIGROUPS):
         batch = [s for s in specs if s.domain == domain]

@@ -377,9 +377,9 @@ def test_theorems_json(capsys):
 
 
 def test_theorems_over_cap(capsys):
-    code, _, err = run(capsys, "theorems", "--max-order", "4")
+    code, _, err = run(capsys, "theorems", "--max-order", "5")
     assert code == 2
-    assert "caps at order 3" in err
+    assert "T1: order 5 exceeds the all-magmas cap 4" in err
 
 
 @pytest.mark.parametrize("argv", [("--max-order", "0"), ("--max-order", "-2", "--json")])

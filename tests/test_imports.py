@@ -6,6 +6,9 @@ imports are the package's re-exports.
 
 Every private top-level function, class or assignment in src/magma_lab/*.py
 is read somewhere in src/, outside its own definition.
+
+A third scan keeps one cap policy: enumeration.py is the only module in
+src/magma_lab/ that reads the environment or names MAX_ORDER_ENV.
 """
 
 import ast
@@ -110,3 +113,48 @@ def test_scan_sees_an_unread_private_name():
     }
     want = [("a", 2, "_stale"), ("a", 4, "_loop"), ("c", 4, "_used")]
     assert unread_private_names(sources) == want
+
+
+def _env_name(node):
+    """The name node reads the environment or the cap override through, if any."""
+    if isinstance(node, ast.Attribute):
+        if node.attr == "MAX_ORDER_ENV" or getattr(node.value, "id", None) == "os":
+            return node.attr
+    elif isinstance(node, ast.alias):
+        return node.name
+    elif isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def env_readers(sources: dict) -> list:
+    """Sorted names of the modules in sources (module name to source text)
+    that read os.environ or os.getenv, import either from os, or name
+    MAX_ORDER_ENV."""
+    names = {"environ", "getenv", "MAX_ORDER_ENV"}
+    return sorted(
+        module
+        for module, text in sources.items()
+        if any(_env_name(n) in names for n in ast.walk(ast.parse(text)))
+    )
+
+
+def test_only_enumeration_reads_the_cap_override():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert env_readers(sources) == ["enumeration"]
+
+
+def test_scan_sees_a_second_cap_reader():
+    sources = {
+        "a": "import os\nMAX_ORDER_ENV = 'X'\ncap = os.environ.get(MAX_ORDER_ENV)\n",
+        "b": "import os\nworkers = os.cpu_count()\n",
+    }
+    assert env_readers(sources) == ["a"]
+    for reader in (
+        "from .a import MAX_ORDER_ENV\n",
+        "from . import a\nname = a.MAX_ORDER_ENV\n",
+        "import os\ncap = os.getenv('X')\n",
+        "from os import environ\n",
+    ):
+        sources["b"] = reader
+        assert env_readers(sources) == ["a", "b"], reader

@@ -1,5 +1,6 @@
 import pytest
 
+from magma_lab import theorems
 from magma_lab.core import Magma
 from magma_lab.dsl import parse_law
 from magma_lab.enumeration import (
@@ -105,10 +106,34 @@ def test_unknown_id():
 
 
 def test_feasibility_caps():
-    with pytest.raises(InfeasibleError, match="caps at order 3"):
-        verify_theorem("T1", 4)
-    with pytest.raises(InfeasibleError, match="caps at order 5"):
+    with pytest.raises(InfeasibleError, match="T1: order 5 exceeds the all-magmas cap 4"):
+        verify_theorem("T1", 5)
+    with pytest.raises(InfeasibleError, match="T8: order 6 exceeds the latin-squares cap 5"):
         verify_theorem("T8", 6)
+
+
+def test_caps_are_checked_before_any_stream_opens(monkeypatch):
+    def opened(*args, **kwargs):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(theorems, "tables", opened)
+    monkeypatch.setattr(theorems, "latin_square_count", opened)
+    with pytest.raises(InfeasibleError, match="T1: .*all-magmas cap 4"):
+        verify_theorems(CATALOG, 5)
+    quasigroups = [t for t in CATALOG if t.domain == QUASIGROUPS]
+    assert [t.id for t in quasigroups] == ["T8", "T9", "T10", "T11"]
+    for spec in quasigroups:
+        with pytest.raises(InfeasibleError, match=f"{spec.id}: .*latin-squares cap 5"):
+            verify_theorems([spec], 6)
+
+
+@pytest.mark.parametrize("theorem_id, max_order", [("T1", 4), ("T6", 6)])
+def test_sweeps_reach_the_caps_of_their_premise_streams(theorem_id, max_order):
+    # T1's premises A, C prune all magmas, so it reaches order 4; T6's H
+    # selects Latin squares and A, C prune them, so it reaches order 6
+    rep = verify_theorem(theorem_id, max_order)
+    assert rep.verified
+    assert rep.structures_examined == sum(n ** (n * n) for n in range(1, max_order + 1))
 
 
 def test_quasigroup_cai_implies_associativity_consistency():
