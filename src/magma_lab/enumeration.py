@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .core import CANONICAL_CAP, Magma, canonical_form
 from .laws import PARTS, H, Law, _checker, check_assignment_cap, is_tautology
-from .properties import holds
+from .properties import check_H, holds
 
 ALL_MAGMAS = "all-magmas"
 LATIN = "latin-squares"
@@ -44,8 +44,8 @@ class InfeasibleError(ValueError):
 class EnumSpec:
     """What to enumerate.
 
-    ``non_latin`` keeps only tables with at least one repeated row or
-    column entry; it is how a search refutes H without a post-filter pass.
+    ``non_latin`` keeps only tables that fail H, that is, with at least one
+    repeated row or column entry; it is how a search refutes H.
     """
 
     order: int
@@ -130,7 +130,7 @@ def _parking(programs, n: int):
     return tuple(map(tuple, parked))
 
 
-def _run(n: int, latin: bool, parking, prefix, non_latin: bool, collect) -> int:
+def _run(n: int, latin: bool, parking, prefix, collect) -> int:
     """Backtrack over cells in row-major order, the first cells fixed to
     prefix. Returns the number of tables accepted; appends flat tuples to
     collect when it is a list.
@@ -169,10 +169,6 @@ def _run(n: int, latin: bool, parking, prefix, non_latin: bool, collect) -> int:
     def go(pos: int) -> None:
         nonlocal count
         if pos == n2:
-            # A full table is Latin exactly when every row and column uses
-            # every value.
-            if non_latin and row_used.count(full) == n and col_used.count(full) == n:
-                return
             count += 1
             if collect is not None:
                 collect.append(tuple(table))
@@ -206,15 +202,6 @@ def _run(n: int, latin: bool, parking, prefix, non_latin: bool, collect) -> int:
     return count
 
 
-def latin_square_count(n: int) -> int:
-    """Number of Latin squares of order n, from one backtracking job.
-
-    Renaming the values maps each square to exactly one whose first row is
-    0..n-1, so the count is n! times the number of those.
-    """
-    return factorial(n) * _run(n, True, ((),) * (n * n), tuple(range(n)), False, None)
-
-
 def _prefixes(spec: EnumSpec):
     n = spec.order
     if spec.mode == LATIN:
@@ -225,9 +212,9 @@ def _prefixes(spec: EnumSpec):
 def _subtree(job):
     """Worker for one first-row prefix: its tables as flat tuples, or only
     their number when the job asks to count."""
-    n, latin, non_latin, programs, prefix, counting = job
+    n, latin, programs, prefix, counting = job
     out = None if counting else []
-    accepted = _run(n, latin, _parking(programs, n), prefix, non_latin, out)
+    accepted = _run(n, latin, _parking(programs, n), prefix, out)
     return accepted if counting else out
 
 
@@ -240,7 +227,7 @@ def _subtrees(spec: EnumSpec, workers: int, counting: bool):
     """
     eqs = [law.equation for law in _split_constraints(spec)[0]]
     programs = tuple((len(eq.variables), eq.code) for eq in eqs)
-    head = (spec.order, spec.mode == LATIN, spec.non_latin, programs)
+    head = (spec.order, spec.mode == LATIN, programs)
     jobs = [head + (p, counting) for p in _prefixes(spec)]
     workers = min(workers, os.cpu_count() or 1, len(jobs))
     if workers <= 1:
@@ -260,14 +247,21 @@ def tables(spec: EnumSpec, workers: int = 1) -> Iterator[Magma]:
             m = Magma(order, raw)
             if spec.up_to_iso and canonical_form(m).table != m.table:
                 continue
+            if spec.non_latin and check_H(m).holds:
+                continue
             if all(holds(m, law) for law in post):
                 yield m
 
 
 def count(spec: EnumSpec, workers: int = 1) -> int:
-    """Number of matching tables; avoids materializing them when it can."""
+    """Number of matching tables; avoids materializing them when it can.
+    Plain Latin squares take one job: renaming the values maps each square to
+    exactly one with first row 0..n-1, so the count is n! times those."""
     validate_spec(spec)
     _, post = _split_constraints(spec)
-    if spec.up_to_iso or post:
+    if spec.up_to_iso or post or spec.non_latin:
         return sum(1 for _ in tables(spec, workers))
+    n = spec.order
+    if spec.mode == LATIN and not spec.constraints:
+        return factorial(n) * _run(n, True, ((),) * (n * n), tuple(range(n)), None)
     return sum(_subtrees(spec, workers, counting=True))

@@ -45,10 +45,9 @@ def find_model(spec: SearchSpec, workers: int = 1) -> SearchResult:
     if spec.refute.is_equational:
         check_assignment_cap((spec.refute.equation,), hi, InfeasibleError)
     top = models_spec(spec.assume, hi)
-    # refuting H over all magmas skips Latin tables in the backtracking
-    # rather than filtering them out
+    validate_spec(top)
+    # refuting H over all magmas streams only the tables that fail H
     non_latin = spec.refute == H and top.mode != LATIN
-    validate_spec(replace(top, non_latin=non_latin))
     if spec.refute == H and top.mode == LATIN:
         return SearchResult(spec, None, 0, None)
     examined = 0

@@ -289,6 +289,8 @@ def _check_cancellative(w: WindowedOp, law: Law) -> WindowedReport:
 
 
 def _check_latin(w: WindowedOp, law: Law) -> WindowedReport:
+    if len(w.window) ** 2 > ASSIGNMENT_CAP:
+        raise ValueError("window too large")
     for a in w.window:
         for b in w.window:
             for side, solver, shape in (

@@ -20,7 +20,7 @@ from .enumeration import (
     LATIN,
     EnumSpec,
     InfeasibleError,
-    latin_square_count,
+    count,
     models_spec,
     tables,
     validate_spec,
@@ -179,7 +179,7 @@ def verify_theorems(specs, max_order: int) -> list[VerificationReport]:
         examined = 0
         for order in range(1, max_order + 1):
             examined += (
-                latin_square_count(order) if domain == QUASIGROUPS else order ** (order * order)
+                count(EnumSpec(order, LATIN)) if domain == QUASIGROUPS else order ** (order * order)
             )
             # premise enumeration -> (theorem id, branch index, branch) of its users
             groups: dict[EnumSpec, list] = {}

@@ -1,5 +1,9 @@
 import re
 
+import pytest
+
+from magma_lab.enumeration import LATIN, EnumSpec, tables
+
 _CRITERION = re.compile(r"::test_criterion_(\d+)_")
 
 
@@ -20,3 +24,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             f"ACCEPTANCE {n}: {'PASS' if verdicts[n] else 'FAIL'}"
         )
+
+
+@pytest.fixture(scope="session")
+def latin_stream_lengths():
+    """The number of Latin squares of orders 1 to 5, by streaming them all."""
+    return [sum(1 for _ in tables(EnumSpec(n, LATIN))) for n in range(1, 6)]

@@ -197,15 +197,55 @@ def test_pool_size_is_clamped(monkeypatch):
     sizes = []
     monkeypatch.setattr(enumeration, "Pool", _fake_pool(sizes, []))
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
-    spec = EnumSpec(order=3, mode=LATIN)  # 6 first-row jobs
+    spec = EnumSpec(order=3, mode=LATIN, constraints=(C,))  # 6 first-row jobs
     serial = [m.table for m in tables(spec)]
     assert [m.table for m in tables(spec, workers=64)] == serial
-    assert count(spec, workers=3) == len(serial) == 12
+    assert count(spec, workers=3) == len(serial) == 6
     spec = EnumSpec(order=2)  # 4 first-row jobs
     assert count(spec, workers=64) == 16
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
     assert count(spec, workers=64) == 16
     assert sizes == [4, 3, 4]
+
+
+def _opened(*args, **kwargs):
+    raise AssertionError("count started a pool or a stream")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_plain_latin_count_is_one_job(monkeypatch, latin_stream_lengths, workers):
+    monkeypatch.setattr(enumeration, "Pool", _opened)
+    monkeypatch.setattr(enumeration, "tables", _opened)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
+    got = [count(EnumSpec(n, LATIN), workers) for n in range(1, 6)]
+    assert got == latin_stream_lengths
+
+
+def test_equational_count_does_not_stream(monkeypatch):
+    specs = (EnumSpec(3, constraints=(C,)), EnumSpec(4, LATIN, constraints=(CAI,)))
+    want = [sum(1 for _ in tables(spec)) for spec in specs]
+    monkeypatch.setattr(enumeration, "tables", _opened)
+    assert [count(spec) for spec in specs] == want
+
+
+FILTERED = {
+    "up_to_iso": EnumSpec(4, LATIN, up_to_iso=True),
+    "NE": EnumSpec(3, constraints=(NE,)),
+    "non_latin C": EnumSpec(3, constraints=(C,), non_latin=True),
+}
+
+
+@pytest.mark.parametrize("spec", FILTERED.values(), ids=FILTERED)
+def test_filtered_counts_are_stream_lengths(spec):
+    assert count(spec) == sum(1 for _ in tables(spec))
+
+
+def test_non_latin_stream_through_the_pool():
+    spec = EnumSpec(3, constraints=(C,), non_latin=True)
+    serial = [m.table for m in tables(spec)]
+    assert [m.table for m in tables(spec, workers=2)] == serial
+    want = [m.table for m in _unconstrained(3) if ref_holds(m, C) and not ref_holds(m, H)]
+    assert serial == want
 
 
 def test_equational_constraints_have_an_instance_cap():
@@ -225,8 +265,8 @@ def test_pool_jobs_carry_programs_not_laws(monkeypatch):
     spec = EnumSpec(order=3, constraints=(CAI,))
     assert count(spec, workers=2) == count(spec)
     assert len(jobs) == 27
-    for order, latin, non_latin, programs, prefix, counting in jobs:
-        assert (order, latin, non_latin, counting) == (3, False, False, True)
+    for order, latin, programs, prefix, counting in jobs:
+        assert (order, latin, counting) == (3, False, True)
         assert programs == ((3, CAI.equation.code),)
         assert len(prefix) == 3
 

@@ -53,6 +53,16 @@ def test_assuming_and_refuting_h_streams_nothing(monkeypatch):
         find_model(SearchSpec(assume=(H, CAI), refute=H, orders=(1, 7)))
 
 
+@pytest.mark.parametrize("assume, orders", [((C,), (1, 3)), ((GROUP,), (1, 4))])
+def test_refuting_h_is_the_same_at_any_worker_count(assume, orders):
+    # every group is Latin, so the GROUP search streams nothing to its end
+    spec = SearchSpec(assume=assume, refute=H, orders=orders)
+    one = find_model(spec, workers=1)
+    two = find_model(spec, workers=2)
+    assert (one.found, one.examined, one.order_found) == (two.found, two.examined, two.order_found)
+    assert one.found is None or not ref_holds(one.found, H)
+
+
 def test_worker_count_does_not_change_the_answer():
     spec = SearchSpec(assume=(H, CAI), refute=ABELIAN, orders=(1, 4))
     one = find_model(spec, workers=1)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,16 @@ def test_assignment_cap():
     w = builtin("int_sub_window", -250, 250).windowed
     with pytest.raises(ValueError, match="window too large"):
         windowed_check(w, A)
+
+
+def test_windowed_h_check_has_the_assignment_cap():
+    def solve(a, b):
+        raise AssertionError("a solver ran")
+
+    w = replace(builtin("int_sub_window", -1600, 1600).windowed,
+                solve_left=solve, solve_right=solve)
+    with pytest.raises(ValueError, match="window too large"):
+        windowed_check(w, H)
 
 
 def test_example_suite_shape():

@@ -8,7 +8,6 @@ from magma_lab.enumeration import (
     EnumSpec,
     InfeasibleError,
     count,
-    latin_square_count,
     models_spec,
     tables,
 )
@@ -117,7 +116,7 @@ def test_caps_are_checked_before_any_stream_opens(monkeypatch):
         raise AssertionError("a stream was opened")
 
     monkeypatch.setattr(theorems, "tables", opened)
-    monkeypatch.setattr(theorems, "latin_square_count", opened)
+    monkeypatch.setattr(theorems, "count", opened)
     with pytest.raises(InfeasibleError, match="T1: .*all-magmas cap 4"):
         verify_theorems(CATALOG, 5)
     quasigroups = [t for t in CATALOG if t.domain == QUASIGROUPS]
@@ -239,9 +238,9 @@ def test_first_counterexample_matches_naive_scan(domain, max_order):
     assert firsts[0][0] == firsts[1][0]
 
 
-def test_latin_square_count_matches_enumeration():
-    got = [latin_square_count(n) for n in range(1, 6)]
-    assert got == [count(EnumSpec(n, LATIN)) for n in range(1, 6)]
+def test_latin_square_count_matches_enumeration(latin_stream_lengths):
+    got = [count(EnumSpec(n, LATIN)) for n in range(1, 6)]
+    assert got == latin_stream_lengths
     assert got == [1, 2, 12, 576, 161280]
 
 
