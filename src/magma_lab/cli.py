@@ -175,8 +175,7 @@ def _cmd_enumerate(args) -> int:
         return 0
     total = 0
     for m in stream:
-        sys.stdout.write(format_table(m))
-        sys.stdout.write("\n")
+        sys.stdout.write(format_table(m) + "\n")
         total += 1
     print(f"{total} tables")
     return 0

@@ -8,9 +8,13 @@ is parked on the first table cell its evaluation needs, re-checked whenever
 that cell is filled, and the branch is pruned as soon as an instance
 evaluates to a mismatch.
 
-The search tree splits at the first row, so work can be farmed out to
-worker processes; sub-streams are merged back in first-row order, which
-keeps the output identical for any worker count.
+Plain Latin squares (Latin mode, no equational constraint) come from one
+job, the squares whose first row is 0..n-1: relabeling their values by each
+permutation p of the carrier gives exactly the squares with first row p.
+Equationally constrained streams split the search tree at the first row
+instead, so their work can be farmed out to worker processes; sub-streams
+are merged back in first-row order, which keeps the output identical for
+any worker count. Tables pass between these layers as bytes.
 """
 
 from __future__ import annotations
@@ -80,7 +84,8 @@ def validate_spec(spec: EnumSpec) -> None:
 
     The largest order is the mode's plain cap, 3 for all magmas and 5 for
     Latin squares, plus one when an equational constraint is not a
-    tautology. MAGMA_LAB_MAX_ORDER, when set, replaces every cap.
+    tautology. MAGMA_LAB_MAX_ORDER, when set, replaces every cap, but no
+    order above 255 passes: tables pass between layers as bytes.
     up_to_iso also needs order <= CANONICAL_CAP, and the equational
     constraints must stay within the assignment cap at the order.
     """
@@ -104,6 +109,8 @@ def validate_spec(spec: EnumSpec) -> None:
             f"order {spec.order} exceeds the {spec.mode} cap {cap}; "
             f"set {MAX_ORDER_ENV} to override"
         )
+    if spec.order > 255:
+        raise InfeasibleError(f"order {spec.order} exceeds 255, the largest a table byte holds")
     if spec.up_to_iso and spec.order > CANONICAL_CAP:
         raise InfeasibleError(f"up_to_iso needs order <= {CANONICAL_CAP}")
     check_assignment_cap([law.equation for law in eqs], spec.order, InfeasibleError)
@@ -132,8 +139,8 @@ def _parking(programs, n: int):
 
 def _run(n: int, latin: bool, parking, prefix, collect) -> int:
     """Backtrack over cells in row-major order, the first cells fixed to
-    prefix. Returns the number of tables accepted; appends flat tuples to
-    collect when it is a list.
+    prefix. Returns the number of tables accepted; appends flat tables as
+    bytes to collect when it is a list.
 
     parking is a _parking result; each instance parked on a cell is
     re-checked when that cell is filled and moves on to the next cell it
@@ -171,7 +178,7 @@ def _run(n: int, latin: bool, parking, prefix, collect) -> int:
         if pos == n2:
             count += 1
             if collect is not None:
-                collect.append(tuple(table))
+                collect.append(bytes(table))
             return
         r, c = divmod(pos, n)
         ru = row_used[r]
@@ -209,8 +216,25 @@ def _prefixes(spec: EnumSpec):
     return product(range(n), repeat=n)
 
 
+def _normal_job(n: int, collect) -> int:
+    """The Latin squares whose first row is 0..n-1; see _run."""
+    return _run(n, True, ((),) * (n * n), tuple(range(n)), collect)
+
+
+def _relabeled(n: int):
+    """Every Latin square of order n, one sorted list per first row in
+    first-row order, by relabeling the normal job's squares. Bytes compare
+    like tuples of small ints, so sorting restores flat-table order."""
+    normal: list = []
+    _normal_job(n, normal)
+    pad = bytes(256 - n)
+    for p in permutations(range(n)):
+        relabel = bytes(p) + pad
+        yield sorted(sq.translate(relabel) for sq in normal)
+
+
 def _subtree(job):
-    """Worker for one first-row prefix: its tables as flat tuples, or only
+    """Worker for one first-row prefix: its tables as flat bytes, or only
     their number when the job asks to count."""
     n, latin, programs, prefix, counting = job
     out = None if counting else []
@@ -238,11 +262,17 @@ def _subtrees(spec: EnumSpec, workers: int, counting: bool):
 
 
 def tables(spec: EnumSpec, workers: int = 1) -> Iterator[Magma]:
-    """Stream the matching magmas in lexicographic flat-table order."""
+    """Stream the matching magmas in lexicographic flat-table order. A
+    stream without equational constraints in Latin mode relabels the normal
+    job in this process and starts no pool, whatever workers says."""
     validate_spec(spec)
-    _, post = _split_constraints(spec)
+    eqs, post = _split_constraints(spec)
     order = spec.order
-    for chunk in _subtrees(spec, workers, counting=False):
+    if spec.mode == LATIN and not eqs:
+        chunks = _relabeled(order)
+    else:
+        chunks = _subtrees(spec, workers, counting=False)
+    for chunk in chunks:
         for raw in chunk:
             m = Magma(order, raw)
             if spec.up_to_iso and canonical_form(m).table != m.table:
@@ -263,5 +293,5 @@ def count(spec: EnumSpec, workers: int = 1) -> int:
         return sum(1 for _ in tables(spec, workers))
     n = spec.order
     if spec.mode == LATIN and not spec.constraints:
-        return factorial(n) * _run(n, True, ((),) * (n * n), tuple(range(n)), None)
+        return factorial(n) * _normal_job(n, None)
     return sum(_subtrees(spec, workers, counting=True))

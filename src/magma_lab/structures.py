@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .core import Magma, magma_from_rows
 from .laws import ASSIGNMENT_CAP, BY_NAME, Law, evaluate
@@ -33,7 +33,7 @@ class WindowedOp:
 
     carrier: str
     op: Callable[[Any, Any], Any]
-    window: tuple
+    window: Sequence
     solve_left: Callable[[Any, Any], Any]
     solve_right: Callable[[Any, Any], Any]
 
@@ -125,7 +125,7 @@ def _int_sub_windowed(lo: int, hi: int) -> WindowedOp:
     return WindowedOp(
         carrier="integers",
         op=lambda a, b: a - b,
-        window=tuple(range(lo, hi + 1)),
+        window=range(lo, hi + 1),
         solve_left=lambda a, b: (a + b,),
         solve_right=lambda a, b: (a - b,),
     )
@@ -138,7 +138,7 @@ def _nat_add_windowed(hi: int) -> WindowedOp:
     return WindowedOp(
         carrier="natural numbers",
         op=lambda a, b: a + b,
-        window=tuple(range(hi + 1)),
+        window=range(hi + 1),
         solve_left=solve,
         solve_right=solve,
     )
@@ -227,9 +227,15 @@ def _finish(name, params, kind, magma=None, windowed=None) -> BuiltinStructure:
     )
 
 
+def _check_window_size(points: int) -> None:
+    if points > ASSIGNMENT_CAP:
+        raise ValueError(f"window of {points} points exceeds the cap of {ASSIGNMENT_CAP}")
+
+
 def builtin(name: str, *params) -> BuiltinStructure:
     """Construct a named structure. Finite families take the order; the
-    windowed ones take their window bounds (or nothing for prob_star)."""
+    windowed ones take their window bounds (or nothing for prob_star), and
+    a window holds at most ASSIGNMENT_CAP points."""
     if name in _FINITE_FAMILIES:
         if len(params) != 1 or not isinstance(params[0], int) or params[0] < 1:
             raise ValueError(f"{name} takes one positive order")
@@ -242,11 +248,13 @@ def builtin(name: str, *params) -> BuiltinStructure:
         lo, hi = params if params else (-5, 5)
         if lo > hi:
             raise ValueError("window bounds must satisfy lo <= hi")
+        _check_window_size(hi - lo + 1)
         return _finish(name, (lo, hi), "windowed", windowed=_int_sub_windowed(lo, hi))
     if name == "nat_add_window":
         (hi,) = params if params else (8,)
         if hi < 0:
             raise ValueError("window bound must be non-negative")
+        _check_window_size(hi + 1)
         return _finish(name, (hi,), "windowed", windowed=_nat_add_windowed(hi))
     if name == "prob_star":
         if params:

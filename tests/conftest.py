@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from magma_lab.enumeration import LATIN, EnumSpec, tables
+from magma_lab.enumeration import LATIN, EnumSpec, _subtrees
 
 _CRITERION = re.compile(r"::test_criterion_(\d+)_")
 
@@ -28,5 +28,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def latin_stream_lengths():
-    """The number of Latin squares of orders 1 to 5, by streaming them all."""
-    return [sum(1 for _ in tables(EnumSpec(n, LATIN))) for n in range(1, 6)]
+    """The number of Latin squares of orders 1 to 5, by collecting them all
+    from the backtracker over every first row, not from the relabeled
+    stream, whose one job is the count's own."""
+    return [
+        sum(map(len, _subtrees(EnumSpec(n, LATIN), 1, counting=False)))
+        for n in range(1, 6)
+    ]

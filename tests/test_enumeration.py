@@ -221,6 +221,46 @@ def test_plain_latin_count_is_one_job(monkeypatch, latin_stream_lengths, workers
     assert got == latin_stream_lengths
 
 
+def _backtracked(spec):
+    """The spec's flat tables from the per-first-row backtracker, the path
+    equationally constrained specs take, filtered by the reference checks."""
+    for chunk in enumeration._subtrees(spec, 1, counting=False):
+        for raw in chunk:
+            m = Magma(spec.order, raw)
+            if spec.up_to_iso and canonical_table(m) != m.table:
+                continue
+            if all(ref_holds(m, law) for law in spec.constraints):
+                yield m.table
+
+
+RELABELED = {
+    **{f"latin {n}": EnumSpec(n, LATIN) for n in range(1, 6)},
+    "latin 4 up_to_iso": EnumSpec(4, LATIN, up_to_iso=True),
+    **{f"latin {n} NE": EnumSpec(n, LATIN, constraints=(NE,)) for n in (4, 5)},
+}
+
+
+@pytest.mark.parametrize("spec", RELABELED.values(), ids=RELABELED)
+def test_relabeled_stream_equals_backtracker(spec):
+    assert [m.table for m in tables(spec)] == list(_backtracked(spec))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_plain_latin_stream_starts_no_pool(monkeypatch, workers):
+    specs = (EnumSpec(4, LATIN), EnumSpec(4, LATIN, constraints=(NE, IN)))
+    want = [list(_backtracked(spec)) for spec in specs]
+    monkeypatch.setattr(enumeration, "Pool", _opened)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
+    assert [[m.table for m in tables(spec, workers)] for spec in specs] == want
+
+
+def test_order_limit_of_a_table_byte(monkeypatch):
+    monkeypatch.setenv(MAX_ORDER_ENV, "300")
+    validate_spec(EnumSpec(255, LATIN))
+    with pytest.raises(InfeasibleError, match="order 256 exceeds 255"):
+        validate_spec(EnumSpec(256, LATIN))
+
+
 def test_equational_count_does_not_stream(monkeypatch):
     specs = (EnumSpec(3, constraints=(C,)), EnumSpec(4, LATIN, constraints=(CAI,)))
     want = [sum(1 for _ in tables(spec)) for spec in specs]

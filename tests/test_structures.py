@@ -56,6 +56,16 @@ def test_builtin_errors():
         builtin("nope")
 
 
+def test_windows_have_the_assignment_cap():
+    too_wide = (("int_sub_window", (-10**9, 10**9)), ("int_sub_window", (0, 10**30)),
+                ("nat_add_window", (10**7,)))
+    for name, params in too_wide:
+        with pytest.raises(ValueError, match="exceeds the cap of 10000000"):
+            builtin(name, *params)
+    assert builtin("nat_add_window", 10**7 - 1).windowed.window == range(10**7)
+    assert list(builtin("int_sub_window", -2, 2).windowed.window) == [-2, -1, 0, 1, 2]
+
+
 def test_int_sub_window_reports():
     w = builtin("int_sub_window", -5, 5).windowed
 
