@@ -4,9 +4,15 @@ Two generation modes: every magma, or Latin squares only (rows and columns
 are permutations). Equational constraints are pushed into the backtracking:
 each constraint runs as its generated checker (``laws._checker``, the same
 code that decides the equation on a full table), each ground instance of it
-is parked on the first table cell its evaluation needs, re-checked whenever
-that cell is filled, and the branch is pruned as soon as an instance
-evaluates to a mismatch.
+is parked on the first table cell its evaluation needs and re-checked
+whenever that cell is filled. The checker gives one of four results: the
+instance holds (-1), fails (-2), needs an unfilled cell (that cell), or
+holds exactly when one unfilled cell takes one value, because one side is
+known and the other lacks only its outermost product (-3 - (cell * n +
+value)). A failure prunes the branch at once; a forcing restricts the cell
+to that value, and prunes the branch when the cell is already restricted to
+another value or, in Latin mode, the value is already used in its row or
+column.
 
 Plain Latin squares (Latin mode, no equational constraint) come from one
 job, the squares whose first row is 0..n-1: relabeling their values by each
@@ -118,23 +124,30 @@ def validate_spec(spec: EnumSpec) -> None:
 
 @lru_cache(maxsize=1)
 def _parking(programs, n: int):
-    """Every ground instance as (checker, assignment), parked on the first
-    cell it needs in the empty table: a tuple indexed by cell. None when an
-    instance is violated before any cell is filled.
+    """Every ground instance on the empty table: a pair (parked, forced).
+    parked holds each instance as (checker, assignment) on the first cell
+    it needs, a tuple indexed by cell; forced holds the (cell, value) pairs
+    that instances force. None when an instance is violated, or two force
+    one cell to different values, before any cell is filled.
 
     Cached, so a process grounds a spec once for all its first-row jobs.
     """
     parked: list = [[] for _ in range(n * n)]
+    forced: dict = {}
     empty = [None] * (n * n)
     for k, code in programs:
         check = _checker(code, n)
         for env in product(range(n), repeat=k):
             res = check(empty, env)
-            if res == -2:
-                return None
             if res >= 0:
                 parked[res].append((check, env))
-    return tuple(map(tuple, parked))
+            elif res == -2:
+                return None
+            elif res != -1:
+                cell, v = divmod(-3 - res, n)
+                if forced.setdefault(cell, v) != v:
+                    return None
+    return tuple(map(tuple, parked)), tuple(forced.items())
 
 
 def _run(n: int, latin: bool, parking, prefix, collect) -> int:
@@ -142,36 +155,65 @@ def _run(n: int, latin: bool, parking, prefix, collect) -> int:
     prefix. Returns the number of tables accepted; appends flat tables as
     bytes to collect when it is a list.
 
-    parking is a _parking result; each instance parked on a cell is
-    re-checked when that cell is filled and moves on to the next cell it
-    needs, or prunes the branch.
+    parking is a _parking result. Each instance parked on a cell is
+    re-checked when that cell is filled: it passes, moves on to the next
+    cell it needs, forces an unfilled cell to one value, or prunes the
+    branch. allow[cell] is the bit mask of the values the cell may still
+    take; a forcing narrows it to one bit, and the branch is pruned when
+    the value is already excluded there, or in Latin mode is already used
+    in the cell's row or column. Moves and forcings are undone together.
     """
     if parking is None:
         return 0
+    parking, forced = parking
     n2 = n * n
     table: list = [None] * n2
     full = (1 << n) - 1
     row_used = [0] * n
     col_used = [0] * n
     parked = [list(cell) for cell in parking]
+    allow = [full] * n2
+    for cell, v in forced:
+        allow[cell] = 1 << v
+    for cell, v in enumerate(prefix):
+        allow[cell] &= 1 << v
     value = {1 << v: v for v in range(n)}
-    fixed = len(prefix)
     count = 0
 
+    def undo(moves):
+        """Take back moves: a cell an instance moved to, or ~cell for a
+        cell a forcing narrowed from full."""
+        for cell in moves:
+            if cell >= 0:
+                parked[cell].pop()
+            else:
+                allow[~cell] = full
+
     def settle(pend):
-        """Re-check the instances parked on a cell just filled. The cells
-        they moved to, or None, with those moves undone, on a violation."""
-        moved = []
+        """Re-check the instances parked on a cell just filled. Their moves
+        and forcings, or None, with those undone, on a violation."""
+        moves = []
         for inst in pend:
             res = inst[0](table, inst[1])
             if res >= 0:
                 parked[res].append(inst)
-                moved.append(res)
+                moves.append(res)
             elif res == -2:
-                for cell in reversed(moved):
-                    parked[cell].pop()
+                undo(moves)
                 return None
-        return moved
+            elif res != -1:
+                cell, v = divmod(-3 - res, n)
+                bit = 1 << v
+                mask = allow[cell]
+                if not mask & bit or latin and bit & (
+                    row_used[cell // n] | col_used[cell % n]
+                ):
+                    undo(moves)
+                    return None
+                if mask != bit:
+                    allow[cell] = bit
+                    moves.append(~cell)
+        return moves
 
     def go(pos: int) -> None:
         nonlocal count
@@ -184,9 +226,7 @@ def _run(n: int, latin: bool, parking, prefix, collect) -> int:
         ru = row_used[r]
         cu = col_used[c]
         pend = parked[pos]
-        avail = full & ~(ru | cu) if latin else full
-        if pos < fixed:
-            avail &= 1 << prefix[pos]
+        avail = allow[pos] & ~(ru | cu) if latin else allow[pos]
         while avail:
             bit = avail & -avail
             avail ^= bit
@@ -196,11 +236,10 @@ def _run(n: int, latin: bool, parking, prefix, collect) -> int:
             if not pend:
                 go(pos + 1)
                 continue
-            moved = settle(pend)
-            if moved is not None:
+            moves = settle(pend)
+            if moves is not None:
                 go(pos + 1)
-                for cell in reversed(moved):
-                    parked[cell].pop()
+                undo(moves)
         row_used[r] = ru
         col_used[c] = cu
         table[pos] = None
@@ -218,7 +257,7 @@ def _prefixes(spec: EnumSpec):
 
 def _normal_job(n: int, collect) -> int:
     """The Latin squares whose first row is 0..n-1; see _run."""
-    return _run(n, True, ((),) * (n * n), tuple(range(n)), collect)
+    return _run(n, True, (((),) * (n * n), ()), tuple(range(n)), collect)
 
 
 def _relabeled(n: int):

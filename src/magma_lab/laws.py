@@ -60,28 +60,61 @@ def evaluate(code, env, op) -> list:
 
 
 def _checker_source(code, n: int) -> str:
-    """Python source of check(T, env) for a program at order n: -1
-    satisfied, -2 violated, else the first unfilled cell of T the instance
-    at env needs, the lhs's cells coming first. On a full table the result
-    is -1 or -2.
+    """Python source of check(T, env) for a program at order n. The
+    instance at env, on a flat table T whose unfilled cells are None, gives
+    one of four results:
+
+    - -1: both sides are known and equal;
+    - -2: both sides are known and differ;
+    - -3 - (i * n + v): one side is known to be v, and the other lacks
+      only its outermost product, unfilled cell i; the instance holds
+      exactly when cell i holds v;
+    - else the first unfilled cell the instance needs, the lhs's first.
+
+    On a full table the result is -1 or -2, from one lookup per APPLY in
+    program order: the rhs is evaluated a second time, with j for its
+    cells, only inside the branch where the lhs's top cell is unfilled, so
+    full-table checks pay nothing for forcing.
 
     Straight-line code, one table lookup per APPLY. The source is built
     from integers only, so no user text reaches exec.
     """
     n = int(n)
-    stack: list = []
+    depth = 0
+    for k, c in enumerate(code):
+        depth += 1 if c >= 0 else -1
+        if depth == 1:
+            cut = k + 1  # the lhs is the longest prefix that leaves one term
+
+    def steps(part, stack, cell, last):
+        """Lines that evaluate part onto stack. An unfilled cell returns
+        i, except at the final lookup of part, which runs the lines last."""
+        lines = []
+        for k, c in enumerate(part):
+            if c >= 0:
+                stack.append(f"e{int(c)}")
+                continue
+            b = stack.pop()
+            a = stack.pop()
+            t = f"t{len(stack)}"
+            lines += [f"{cell} = {a} * {n} + {b}", f"{t} = T[{cell}]"]
+            if k == len(part) - 1:
+                lines += [f"if {t} is None:"] + ["    " + line for line in last]
+            else:
+                lines.append(f"if {t} is None: return i")
+            stack.append(t)
+        return lines
+
+    lhs, rhs = code[:cut], code[cut:]
     lines = [", ".join(f"e{s}" for s in range(max(code) + 1)) + ", = env"]
-    for c in code:
-        if c >= 0:
-            stack.append(f"e{int(c)}")
-            continue
-        b = stack.pop()
-        a = stack.pop()
-        t = f"t{len(stack)}"
-        lines += [f"i = {a} * {n} + {b}", f"{t} = T[i]", f"if {t} is None: return i"]
-        stack.append(t)
-    lhs, rhs = stack
-    lines.append(f"return -1 if {lhs} == {rhs} else -2")
+    # Where the lhs's top cell i is unfilled, its value t0 is unknown: the
+    # rhs's value, if known, is the one cell i must hold.
+    other = ["t0"]
+    force_lhs = steps(rhs, other, "j", ["return i"]) + [f"return -3 - (i * {n} + {other[1]})"]
+    stack: list = []
+    lines += steps(lhs, stack, "i", force_lhs)
+    lines += steps(rhs, stack, "i", [f"return -3 - (i * {n} + {stack[0]})"])
+    lines.append(f"return -1 if {stack[0]} == {stack[1]} else -2")
     return "def check(T, env):\n    " + "\n    ".join(lines) + "\n"
 
 

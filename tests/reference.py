@@ -33,18 +33,36 @@ def _partial_eval(term, env, table, n):
     return table[a * n + b], None
 
 
+def _lacks_only_top(term, env, table, n):
+    """The term is a product whose operands are known and whose own cell is
+    unfilled: that cell, else None."""
+    if isinstance(term, str):
+        return None
+    a, need_a = _partial_eval(term[0], env, table, n)
+    b, need_b = _partial_eval(term[1], env, table, n)
+    if need_a is None and need_b is None and table[a * n + b] is None:
+        return a * n + b
+    return None
+
+
 def partial_check(eq, values, table, n):
     """An equation at one assignment on a partial flat table (None marks an
     unfilled cell): -1 when both sides are known and equal, -2 when they
-    differ, else the first unfilled cell needed, the lhs's cells first."""
+    differ. When one side is known to be v and the other lacks only its
+    outermost product, cell i, the instance holds exactly when cell i holds
+    v: -3 - (i * n + v). Else the first unfilled cell needed, the lhs's
+    cells first."""
     env = dict(zip(eq.variables, values))
-    sides = []
-    for term in (eq.lhs, eq.rhs):
-        value, need = _partial_eval(term, env, table, n)
-        if need is not None:
-            return need
-        sides.append(value)
-    return -1 if sides[0] == sides[1] else -2
+    (lv, lneed), (rv, rneed) = (_partial_eval(t, env, table, n) for t in (eq.lhs, eq.rhs))
+    for term, need, other, other_need in ((eq.lhs, lneed, rv, rneed), (eq.rhs, rneed, lv, lneed)):
+        top = _lacks_only_top(term, env, table, n)
+        if top is not None and other_need is None:
+            return -3 - (top * n + other)
+    if lneed is not None:
+        return lneed
+    if rneed is not None:
+        return rneed
+    return -1 if lv == rv else -2
 
 
 def first_failure(m, eq):

@@ -20,7 +20,7 @@ from magma_lab.enumeration import (
 )
 from magma_lab.dsl import MAX_DEPTH, parse_law
 from magma_lab.laws import CAI, H, IN, NE, R, A, C, Equation, is_tautology, user_law
-from magma_lab.properties import check_law
+from magma_lab.properties import check_identity_law, check_law
 from magma_lab.structures import proj1, zn_add
 
 from reference import canonical_table, first_failure, is_latin, partial_check, ref_holds
@@ -314,10 +314,12 @@ def test_pool_jobs_carry_programs_not_laws(monkeypatch):
 _STREAMS: dict = {}
 
 
-def _unconstrained(n):
-    if n not in _STREAMS:
-        _STREAMS[n] = list(tables(EnumSpec(order=n)))
-    return _STREAMS[n]
+def _unconstrained(n, mode=ALL_MAGMAS):
+    """Every table of the mode at order n. The plain Latin stream is itself
+    checked against the backtracker and the naive filter above."""
+    if (n, mode) not in _STREAMS:
+        _STREAMS[n, mode] = list(tables(EnumSpec(order=n, mode=mode)))
+    return _STREAMS[n, mode]
 
 
 small_terms = st.recursive(st.sampled_from("abc"), lambda sub: st.tuples(sub, sub), max_leaves=5)
@@ -334,6 +336,38 @@ def test_constrained_stream_equals_filtered_stream(laws, n, non_latin):
         if all(ref_holds(m, law) for law in laws) and not (non_latin and ref_holds(m, H))
     ]
     assert got == want
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.lists(equations, min_size=1, max_size=2), st.sampled_from((2, 3, 4)))
+def test_constrained_latin_stream_equals_filtered_latin_domain(laws, n):
+    # Latin mode also prunes a forcing whose value is used in the cell's row or column
+    spec = EnumSpec(order=n, mode=LATIN, constraints=tuple(laws))
+    got = [m.table for m in tables(spec)]
+    want = [m.table for m in _unconstrained(n, LATIN) if all(ref_holds(m, law) for law in laws)]
+    assert got == want
+
+
+def test_checker_calls_of_an_order_4_count_are_pinned(monkeypatch):
+    # A deterministic work figure: without forcing this count made 565,870 checker calls.
+    calls = [0]
+
+    def counting(code, n):
+        check = laws._checker(code, n)
+
+        def counted(T, env):
+            calls[0] += 1
+            return check(T, env)
+
+        return counted
+
+    monkeypatch.setattr(enumeration, "_checker", counting)
+    enumeration._parking.cache_clear()
+    try:
+        assert count(EnumSpec(order=4, constraints=(A,))) == 3492
+    finally:
+        enumeration._parking.cache_clear()
+    assert calls[0] == 226_523 < 565_870
 
 
 @settings(PROPERTY, max_examples=200)
@@ -356,12 +390,26 @@ def test_generated_checker_matches_partial_evaluator(lhs, rhs, n, data):
     assert laws._checker(eq.code, n)(table, env) == partial_check(eq, env, table, n)
 
 
+@settings(PROPERTY, max_examples=200)
+@given(checked_terms, checked_terms, st.integers(1, 3), st.data())
+def test_checker_on_a_full_table_only_passes_or_fails(lhs, rhs, n, data):
+    # check_identity_law reads every result but -2 as a pass, so a forcing
+    # code on a full table would hide a failure
+    eq = Equation(lhs, rhs)
+    table = data.draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+    check = laws._checker(eq.code, n)
+    results = {check(table, env) for env in product(range(n), repeat=len(eq.variables))}
+    assert results <= {-1, -2}
+    m = Magma(n, table)
+    assert check_identity_law(m, user_law(eq)).witness == first_failure(m, eq)
+
+
 @settings(PROPERTY, max_examples=100)
 @given(checked_terms, checked_terms, st.integers(1, 4))
 def test_checker_source_names_only_its_locals(lhs, rhs, n):
     tree = ast.parse(laws._checker_source(Equation(lhs, rhs).code, n))
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert all(re.fullmatch(r"T|env|i|[et]\d+", name) for name in names), names
+    assert all(re.fullmatch(r"T|env|i|j|[et]\d+", name) for name in names), names
 
 
 def _nested(depth):
@@ -377,6 +425,11 @@ EDGE_LAWS = {
     "400-term chain": (" + ".join("a" * 400) + " = a", (2, 3)),
     "a = b": ("a = b", (1, 2, 3)),
     "a = a + a": ("a = a + a", (1, 2, 3)),
+    # forcing: a + a = a and a + b = c on the empty table, a + b = c with
+    # clashing values above order 1; a = a + (b + a) once b + a is filled
+    "a + a = a": ("a + a = a", (1, 2, 3)),
+    "a = a + (b + a)": ("a = a + (b + a)", (1, 2, 3)),
+    "a + b = c": ("a + b = c", (1, 2, 3)),
     "tautology": ("a + (b + a) = a + (b + a)", (1, 2, 3)),
 }
 
