@@ -17,9 +17,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .core import Magma, canonical_form, format_table, parse_table
+from .core import Magma, canonical_form, format_table, format_tables, parse_table
 from .dsl import format_law, parse_law, parse_spec
-from .enumeration import ALL_MAGMAS, LATIN, count as count_tables, models_spec, tables
+from .enumeration import ALL_MAGMAS, LATIN, blocks, count as count_tables, models_spec, tables
 from .properties import check_law, classify
 from .search import SearchSpec, find_model
 from .structures import example_suite
@@ -27,6 +27,9 @@ from .theorems import CATALOG, BY_ID, QUASIGROUPS, verify_theorems
 
 _MODES = {"all": ALL_MAGMAS, "latin": LATIN}
 _ORDERS_ARG = re.compile(r"\A(\d+)\.\.(\d+)\Z")
+# Tables rendered at once by enumerate's text output: bounds the text held
+# in memory when one first-row block is large.
+_RENDER_SLICE = 4096
 
 
 def _read_text(path: str) -> str:
@@ -150,12 +153,12 @@ def _enum_spec_from_args(args):
 def _cmd_enumerate(args) -> int:
     # JSON reports the requested mode, whichever one the assumptions select
     mode = _MODES[args.mode]
-    stream = tables(_enum_spec_from_args(args), workers=args.workers)
+    spec = _enum_spec_from_args(args)
     if args.emit:
         out = Path(args.emit)
         out.mkdir(parents=True, exist_ok=True)
         total = 0
-        for i, m in enumerate(stream):
+        for i, m in enumerate(tables(spec, workers=args.workers)):
             (out / f"{i:06d}.cay").write_text(format_table(m), encoding="utf-8")
             total += 1
         if args.json:
@@ -167,16 +170,20 @@ def _cmd_enumerate(args) -> int:
             print(f"wrote {total} tables to {out}")
         return 0
     if args.json:
-        rows = [m.rows() for m in stream]
+        rows = [m.rows() for m in tables(spec, workers=args.workers)]
         _emit_json({
             "order": args.order, "mode": mode,
             "count": len(rows), "tables": rows,
         })
         return 0
+    # Render a slice of a first-row block at once but write each table on
+    # its own: a stdout that buffers a set number of writes would otherwise
+    # hold that many whole slices.
     total = 0
-    for m in stream:
-        sys.stdout.write(format_table(m) + "\n")
-        total += 1
+    for block in blocks(spec, workers=args.workers):
+        for i in range(0, len(block), _RENDER_SLICE):
+            sys.stdout.writelines(format_tables(args.order, block[i:i + _RENDER_SLICE]))
+        total += len(block)
     print(f"{total} tables")
     return 0
 

@@ -118,6 +118,34 @@ def format_table(m: Magma) -> str:
     return _table_template(m.order) % m.table
 
 
+# byte value -> its ASCII digit, for the one-digit entries of orders up to 10
+_DIGITS = bytes(range(48, 58)) + bytes(246)
+
+
+def format_tables(n: int, flats: Sequence[bytes]) -> list[str]:
+    """The text of many flat order-n tables given as bytes: entry i is
+    format_table(Magma(n, flats[i])) followed by a blank line.
+
+    Up to order 10 every entry is one digit, so the list renders in bulk:
+    the values map to digits in one translate, each of the n² cells is
+    written into k copies of one table's frame by one strided slice, and
+    the text is decoded once and cut into entries of one length. Larger
+    orders fall back to format_table, the one definition of the format.
+    """
+    if n > 10:
+        return [format_table(Magma(n, f)) + "\n" for f in flats]
+    n2 = n * n
+    frame = (_table_template(n) % ((0,) * n2) + "\n").encode()
+    unit = len(frame)
+    first = len(str(n)) + 1  # where cell 0 sits; cell j is 2*j further on
+    digits = b"".join(flats).translate(_DIGITS)
+    out = bytearray(frame * len(flats))
+    for j in range(n2):
+        out[first + 2 * j::unit] = digits[j::n2]
+    text = out.decode()
+    return [text[i:i + unit] for i in range(0, len(text), unit)]
+
+
 def relabel(m: Magma, perm: Sequence[int]) -> Magma:
     """Apply a carrier permutation: new(p a, p b) = p(old(a, b))."""
     n = m.order

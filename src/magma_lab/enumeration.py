@@ -21,6 +21,11 @@ Equationally constrained streams split the search tree at the first row
 instead, so their work can be farmed out to worker processes; sub-streams
 are merged back in first-row order, which keeps the output identical for
 any worker count. Tables pass between these layers as bytes.
+
+One stream, two views: tables yields a Magma per table, and blocks yields
+the same tables as flat bytes, one list per first-row chunk, so a consumer
+that renders tables in bulk (enumerate's text output) builds no Magma for
+an unfiltered chunk. Both filter through one test (_stream).
 """
 
 from __future__ import annotations
@@ -300,26 +305,54 @@ def _subtrees(spec: EnumSpec, workers: int, counting: bool):
         yield from pool.imap(_subtree, jobs, chunksize=1)
 
 
+def _stream(spec: EnumSpec, workers: int):
+    """The unfiltered chunks of spec's stream, one list of flat bytes
+    tables per first row in first-row order, and the one test keep(m) a
+    table must pass besides: up_to_iso, non_latin and the post laws, or
+    None when every table passes."""
+    validate_spec(spec)
+    eqs, post = _split_constraints(spec)
+    if spec.mode == LATIN and not eqs:
+        chunks = _relabeled(spec.order)
+    else:
+        chunks = _subtrees(spec, workers, counting=False)
+    if not (spec.up_to_iso or spec.non_latin or post):
+        return chunks, None
+
+    def keep(m: Magma) -> bool:
+        if spec.up_to_iso and canonical_form(m).table != m.table:
+            return False
+        if spec.non_latin and check_H(m).holds:
+            return False
+        return all(holds(m, law) for law in post)
+
+    return chunks, keep
+
+
 def tables(spec: EnumSpec, workers: int = 1) -> Iterator[Magma]:
     """Stream the matching magmas in lexicographic flat-table order. A
     stream without equational constraints in Latin mode relabels the normal
     job in this process and starts no pool, whatever workers says."""
-    validate_spec(spec)
-    eqs, post = _split_constraints(spec)
+    chunks, keep = _stream(spec, workers)
     order = spec.order
-    if spec.mode == LATIN and not eqs:
-        chunks = _relabeled(order)
-    else:
-        chunks = _subtrees(spec, workers, counting=False)
     for chunk in chunks:
         for raw in chunk:
             m = Magma(order, raw)
-            if spec.up_to_iso and canonical_form(m).table != m.table:
-                continue
-            if spec.non_latin and check_H(m).holds:
-                continue
-            if all(holds(m, law) for law in post):
+            if keep is None or keep(m):
                 yield m
+
+
+def blocks(spec: EnumSpec, workers: int = 1) -> Iterator[list[bytes]]:
+    """The stream of tables, as flat bytes, one list per first-row chunk:
+    flattened, it is bytes(m.table) for each m of tables(spec, workers).
+    An unfiltered chunk passes as it is, and no Magma is built for it."""
+    chunks, keep = _stream(spec, workers)
+    if keep is None:
+        yield from chunks
+        return
+    order = spec.order
+    for chunk in chunks:
+        yield [raw for raw in chunk if keep(Magma(order, raw))]
 
 
 def count(spec: EnumSpec, workers: int = 1) -> int:
@@ -329,7 +362,7 @@ def count(spec: EnumSpec, workers: int = 1) -> int:
     validate_spec(spec)
     _, post = _split_constraints(spec)
     if spec.up_to_iso or post or spec.non_latin:
-        return sum(1 for _ in tables(spec, workers))
+        return sum(map(len, blocks(spec, workers)))
     n = spec.order
     if spec.mode == LATIN and not spec.constraints:
         return factorial(n) * _normal_job(n, None)

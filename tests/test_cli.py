@@ -14,7 +14,7 @@ import pytest
 
 from magma_lab import cli, search
 from magma_lab.cli import main
-from magma_lab.core import format_table, magma_from_rows
+from magma_lab.core import Magma, format_table, magma_from_rows
 from magma_lab.enumeration import ALL_MAGMAS
 from magma_lab.laws import LOOP, A, C
 from magma_lab.schemas import SCHEMAS
@@ -158,6 +158,31 @@ def test_enumerate_latin_2_exact_bytes(capsys):
     code, out, _ = run(capsys, "enumerate", "--order", "2", "--mode", "latin")
     assert code == 0
     assert out == "2\n0 1\n1 0\n\n2\n1 0\n0 1\n\n2 tables\n"
+
+
+def test_enumerate_text_builds_no_magma_and_writes_once_per_table(monkeypatch):
+    built = []
+    init = Magma.__init__
+
+    def counted(self, order, table):
+        built.append(order)
+        init(self, order, table)
+
+    writes = []
+
+    class Out(io.StringIO):
+        def write(self, s):
+            writes.append(s)
+            return super().write(s)
+
+    monkeypatch.setattr(Magma, "__init__", counted)
+    monkeypatch.setattr(sys, "stdout", Out())
+    assert main(["enumerate", "--order", "4", "--mode", "latin"]) == 0
+    assert built == []
+    # one write per table, then print's two: the count and its newline
+    assert len(writes) == 576 + 2
+    assert {(w[:2], len(w)) for w in writes[:576]} == {("4\n", 35)}
+    assert "".join(writes[576:]) == "576 tables\n"
 
 
 def test_enumerate_emit(tmp_path, capsys):

@@ -1,13 +1,14 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from magma_lab.core import (
     Magma,
     TableError,
     canonical_form,
     format_table,
+    format_tables,
     is_isomorphic,
     magma_from_rows,
     parse_table,
@@ -149,3 +150,25 @@ def test_canonical_form_is_idempotent_and_a_class_invariant(m, data):
 @given(magmas(1, 5))
 def test_canonical_form_matches_reference(m):
     assert canonical_form(m).table == canonical_table(m)
+
+
+def _flat_lists(lo: int, hi: int):
+    """An order in lo..hi and a list of flat bytes tables of that order,
+    all-zero and all-(order-1) tables among them."""
+    def lists(n):
+        one = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(bytes)
+        edge = st.sampled_from([bytes(n * n), bytes([n - 1]) * (n * n)])
+        return st.tuples(st.just(n), st.lists(one | edge, max_size=4))
+    return st.integers(lo, hi).flatmap(lists)
+
+
+@PROPERTY
+@given(_flat_lists(1, 12))
+@example((3, []))
+@example((11, []))
+@example((10, [bytes(100), bytes([9]) * 100]))
+@example((11, [bytes(121), bytes([10]) * 121]))
+def test_format_tables_is_format_table_per_table(case):
+    # orders up to 10 render in bulk, larger ones through format_table
+    n, flats = case
+    assert format_tables(n, flats) == [format_table(Magma(n, f)) + "\n" for f in flats]

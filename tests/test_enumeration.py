@@ -14,13 +14,15 @@ from magma_lab.enumeration import (
     MAX_ORDER_ENV,
     EnumSpec,
     InfeasibleError,
+    blocks,
     count,
+    models_spec,
     tables,
     validate_spec,
 )
 from magma_lab.dsl import MAX_DEPTH, parse_law
-from magma_lab.laws import CAI, H, IN, NE, R, A, C, Equation, is_tautology, user_law
-from magma_lab.properties import check_identity_law, check_law
+from magma_lab.laws import AGII, CAI, H, IN, LOOP, NE, R, A, C, Equation, is_tautology, user_law
+from magma_lab.properties import check_identity_law, check_law, holds
 from magma_lab.structures import proj1, zn_add
 
 from reference import canonical_table, first_failure, is_latin, partial_check, ref_holds
@@ -276,8 +278,49 @@ FILTERED = {
 
 
 @pytest.mark.parametrize("spec", FILTERED.values(), ids=FILTERED)
-def test_filtered_counts_are_stream_lengths(spec):
-    assert count(spec) == sum(1 for _ in tables(spec))
+def test_filtered_counts_are_stream_lengths(spec, monkeypatch):
+    want = sum(1 for _ in tables(spec))
+    monkeypatch.setattr(enumeration, "tables", _opened)  # counts go through blocks
+    assert count(spec) == want
+
+
+BLOCK_SPECS = {
+    **{f"latin {n}": (EnumSpec(n, LATIN), 1) for n in range(1, 5)},
+    "AGII workers 1": (models_spec([AGII], 4), 1),
+    "AGII workers 2": (models_spec([AGII], 4), 2),
+    "LOOP": (models_spec([LOOP], 4), 1),
+    "up_to_iso": (EnumSpec(4, LATIN, up_to_iso=True), 1),
+    "non_latin": (EnumSpec(3, constraints=(C,), non_latin=True), 1),
+}
+
+
+@pytest.mark.parametrize("spec, workers", BLOCK_SPECS.values(), ids=BLOCK_SPECS)
+def test_blocks_flatten_to_the_table_stream(spec, workers):
+    got = list(blocks(spec, workers))
+    assert all(isinstance(block, list) for block in got)
+    flat = [raw for block in got for raw in block]
+    assert flat == [bytes(m.table) for m in tables(spec, workers)]
+
+
+def test_plain_latin_blocks_are_first_rows():
+    got = list(blocks(EnumSpec(4, LATIN)))
+    assert len(got) == 24 and {len(block) for block in got} == {24}
+    assert all(len({raw[:4] for raw in block}) == 1 for block in got)
+
+
+def test_tables_filters_lazily(monkeypatch):
+    # find_model stops at its first hit, so the stream must not test the
+    # rest of a chunk before yielding it
+    seen = []
+
+    def counted(m, law, memo=None):
+        seen.append(m.table)
+        return holds(m, law, memo)
+
+    monkeypatch.setattr(enumeration, "holds", counted)
+    first = next(tables(EnumSpec(3, constraints=(NE,))))
+    rank = list(product(range(3), repeat=9)).index(first.table)
+    assert rank > 0 and len(seen) == rank + 1 and seen[-1] == first.table
 
 
 def test_non_latin_stream_through_the_pool():
