@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .core import Magma, canonical_form, format_table, format_tables, parse_table
-from .dsl import format_law, parse_law, parse_spec
+from .dsl import format_law, parse_law, parse_law_file, parse_laws, parse_orders, parse_spec
 from .enumeration import ALL_MAGMAS, LATIN, blocks, count as count_tables, models_spec, tables
 from .properties import check_law, classify
 from .search import SearchSpec, find_model
@@ -26,7 +25,6 @@ from .structures import example_suite
 from .theorems import CATALOG, BY_ID, QUASIGROUPS, verify_theorems
 
 _MODES = {"all": ALL_MAGMAS, "latin": LATIN}
-_ORDERS_ARG = re.compile(r"\A(\d+)\.\.(\d+)\Z")
 # Tables rendered at once by enumerate's text output: bounds the text held
 # in memory when one first-row block is large.
 _RENDER_SLICE = 4096
@@ -42,23 +40,9 @@ def _load_magma(path: str) -> Magma:
     return parse_table(_read_text(path))
 
 
-def _load_law_file(path: str) -> list:
-    laws = []
-    for line in _read_text(path).splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        laws.append(parse_law(stripped))
-    return laws
-
-
-def _parse_assume(values) -> list:
-    laws = []
-    for value in values or ():
-        for piece in value.split(","):
-            if piece.strip():
-                laws.append(parse_law(piece))
-    return laws
+def _law_lists(values) -> list:
+    """The laws of a repeatable law-list flag, in order."""
+    return [law for value in values or () for law in parse_laws(value)]
 
 
 def _fmt_pairs(d: dict) -> str:
@@ -80,10 +64,12 @@ def _report_obj(rep) -> dict:
 
 
 def _cmd_check(args) -> int:
+    if args.table == "-" and args.law_file == "-":
+        raise ValueError("--table - and --law-file - cannot both read stdin")
     m = _load_magma(args.table)
-    laws = _parse_assume(args.law)
+    laws = _law_lists(args.law)
     if args.law_file:
-        laws.extend(_load_law_file(args.law_file))
+        laws += parse_law_file(_read_text(args.law_file))
     if not laws:
         raise ValueError("no laws given; use --law or --law-file")
     reports = [check_law(m, law) for law in laws]
@@ -146,7 +132,7 @@ def _cmd_canon(args) -> int:
 
 
 def _enum_spec_from_args(args):
-    spec = models_spec(_parse_assume(args.assume), args.order, _MODES[args.mode] == LATIN)
+    spec = models_spec(_law_lists(args.assume), args.order, _MODES[args.mode] == LATIN)
     return replace(spec, up_to_iso=args.up_to_iso)
 
 
@@ -204,14 +190,10 @@ def _search_spec_from_args(args) -> SearchSpec:
         return parse_spec(args.spec)
     if not (args.assume and args.refute and args.orders):
         raise ValueError("need either --spec or all of --assume, --refute, --orders")
-    m = _ORDERS_ARG.match(args.orders)
-    if m is None:
-        raise ValueError(f"malformed order range {args.orders!r}")
-    lo, hi = int(m.group(1)), int(m.group(2))
     return SearchSpec(
-        assume=tuple(_parse_assume(args.assume)),
+        assume=tuple(_law_lists(args.assume)),
         refute=parse_law(args.refute),
-        orders=(lo, hi),
+        orders=parse_orders(args.orders),
     )
 
 

@@ -69,43 +69,48 @@ def magma_from_rows(rows: Sequence[Sequence[int]]) -> Magma:
     return Magma(n, tuple(flat))
 
 
+def content_lines(text: str):
+    """(line number, line as written) for each line of text that is neither
+    blank nor a '#' comment: the lines a Cayley file or a law file holds."""
+    for ln, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield ln, line
+
+
 def parse_table(text: str) -> Magma:
     """Parse the Cayley text format: order on the first line, then the rows.
 
     Lines starting with '#' and blank lines are skipped. Raises TableError
     with a line number for malformed input.
     """
-    content: list[tuple[int, str]] = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        content.append((ln, stripped))
+    content = list(content_lines(text))
     if not content:
         raise TableError("empty table text")
     ln, head = content[0]
     try:
         order = int(head)
     except ValueError:
-        raise TableError(f"line {ln}: expected integer order, got {head!r}") from None
+        raise TableError(f"line {ln}: expected integer order, got {head.strip()!r}") from None
     if order < 1:
         raise TableError(f"line {ln}: order must be positive")
     body = content[1:]
     if len(body) != order:
         raise TableError(f"expected {order} rows, found {len(body)}")
-    rows = []
-    for ln, line in body:
+    flat = []
+    for r, (ln, line) in enumerate(body):
         toks = line.split()
         if len(toks) != order:
             raise TableError(f"line {ln}: expected {order} entries, found {len(toks)}")
-        row = []
-        for tok in toks:
+        for c, tok in enumerate(toks):
             try:
-                row.append(int(tok))
+                v = int(tok)
             except ValueError:
                 raise TableError(f"line {ln}: non-integer token {tok!r}") from None
-        rows.append(row)
-    return magma_from_rows(rows)
+            if not 0 <= v < order:
+                raise TableError(f"line {ln}: entry {v} out of range at ({r},{c})")
+            flat.append(v)
+    return Magma(order, flat)
 
 
 @lru_cache(maxsize=8)

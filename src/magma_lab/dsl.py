@@ -1,4 +1,4 @@
-"""Mini-language for laws and search specs.
+"""Mini-language for laws and search specs: the one parser of request text.
 
 Law grammar, whitespace insignificant, names case-insensitive::
 
@@ -8,13 +8,15 @@ Law grammar, whitespace insignificant, names case-insensitive::
 '+' associates to the left and variables are single letters a-z. Search
 specs combine laws::
 
-    spec := 'assume' law (',' law)* ';' 'refute' law ';' 'orders' INT '..' INT
+    laws := law (',' law)*
+    spec := 'assume' laws ';' 'refute' law ';' 'orders' INT '..' INT
 """
 
 from __future__ import annotations
 
 import re
 
+from .core import content_lines
 from .laws import BY_NAME, Equation, Law, evaluate, user_law
 from .search import SearchSpec
 
@@ -28,6 +30,7 @@ class LawSyntaxError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
+        self.message = message
         self.offset = offset
 
 
@@ -136,62 +139,68 @@ def law_equal(a: Law, b: Law) -> bool:
     return False
 
 
-_ORDERS_RE = re.compile(r"\s*orders\s+(\d+)\s*\.\.\s*(\d+)\s*\Z", re.IGNORECASE)
-
-
-def _clause_offsets(text: str) -> list[tuple[str, int]]:
+def _split(text: str, sep: str, base: int = 0) -> list[tuple[str, int]]:
+    """The pieces of text between seps, each with its offset counted from base."""
     parts = []
-    start = 0
-    for chunk in text.split(";"):
-        parts.append((chunk, start))
-        start += len(chunk) + 1
+    for piece in text.split(sep):
+        parts.append((piece, base))
+        base += len(piece) + 1
     return parts
 
 
-def _parse_law_at(clause: str, base: int) -> Law:
+def _parse_law_at(text: str, base: int, missing: str = "expected a law", prefix: str = "") -> Law:
+    """parse_law on text found at base in the string as typed: a blank text
+    fails with missing, and an error's message gains prefix."""
+    if not text.strip():
+        raise LawSyntaxError(missing, base)
     try:
-        return parse_law(clause)
+        return parse_law(text)
     except LawSyntaxError as exc:
-        raise LawSyntaxError(str(exc).rsplit(" at offset ", 1)[0], base + exc.offset) from None
+        raise LawSyntaxError(prefix + exc.message, base + exc.offset) from None
+
+
+def parse_laws(text: str, base: int = 0, missing: str = "expected a law") -> list[Law]:
+    """Parse a comma-separated law list. Error offsets count from base, where
+    text starts in the string as typed; an empty item fails with missing."""
+    return [_parse_law_at(piece, start, missing) for piece, start in _split(text, ",", base)]
+
+
+def parse_orders(text: str, base: int = 0) -> tuple[int, int]:
+    """Parse an order range 'lo..hi' with 1 <= lo <= hi. Any error is
+    reported at base, where the caller's range clause starts."""
+    m = re.match(r"\s*(\d+)\s*\.\.\s*(\d+)\s*\Z", text)
+    if m is None or not 1 <= int(m[1]) <= int(m[2]):
+        raise LawSyntaxError("malformed order range", base)
+    return int(m[1]), int(m[2])
+
+
+def parse_law_file(text: str) -> list[Law]:
+    """The laws of a law file, one per line, skipping blank and '#' lines.
+    An error names its line, and its offset counts within the line as written."""
+    return [_parse_law_at(line, 0, prefix=f"line {ln}: ") for ln, line in content_lines(text)]
+
+
+def _after_keyword(word: str, clause: str, base: int) -> tuple[str, int]:
+    """The rest of a spec clause after its keyword, and where the rest starts."""
+    m = re.match(rf"\s*{word}\b", clause, re.IGNORECASE)
+    if m is None:
+        raise LawSyntaxError(f"expected '{word}'", base + _skip_ws(clause, 0))
+    return clause[m.end():], base + m.end()
 
 
 def parse_spec(text: str) -> SearchSpec:
     """Parse an 'assume ...; refute ...; orders lo..hi' search spec."""
-    parts = _clause_offsets(text)
+    parts = _split(text, ";")
     while len(parts) > 3 and not parts[-1][0].strip():
         parts.pop()
     if len(parts) != 3:
         raise LawSyntaxError("expected 'assume ...; refute ...; orders lo..hi'", 0)
-
-    assume_clause, assume_base = parts[0]
-    m = re.match(r"\s*assume\b", assume_clause, re.IGNORECASE)
-    if m is None:
-        raise LawSyntaxError("expected 'assume'", assume_base + _skip_ws(assume_clause, 0))
-    rest = assume_clause[m.end():]
-    if not rest.strip():
-        raise LawSyntaxError("expected law after 'assume'", assume_base + m.end())
-    assume = []
-    pos = m.end()
-    for piece in rest.split(","):
-        if not piece.strip():
-            raise LawSyntaxError("expected law after 'assume'", assume_base + pos)
-        assume.append(_parse_law_at(piece, assume_base + pos))
-        pos += len(piece) + 1
-
-    refute_clause, refute_base = parts[1]
-    m = re.match(r"\s*refute\b", refute_clause, re.IGNORECASE)
-    if m is None:
-        raise LawSyntaxError("expected 'refute'", refute_base + _skip_ws(refute_clause, 0))
-    rest = refute_clause[m.end():]
-    if not rest.strip():
-        raise LawSyntaxError("expected law after 'refute'", refute_base + m.end())
-    refute = _parse_law_at(rest, refute_base + m.end())
-
-    orders_clause, orders_base = parts[2]
-    m = _ORDERS_RE.match(orders_clause)
-    if m is None:
-        raise LawSyntaxError("malformed order range", orders_base + _skip_ws(orders_clause, 0))
-    lo, hi = int(m.group(1)), int(m.group(2))
-    if lo < 1 or hi < lo:
-        raise LawSyntaxError("malformed order range", orders_base + _skip_ws(orders_clause, 0))
-    return SearchSpec(assume=tuple(assume), refute=refute, orders=(lo, hi))
+    rest, base = _after_keyword("assume", *parts[0])
+    assume = parse_laws(rest, base, "expected law after 'assume'")
+    rest, base = _after_keyword("refute", *parts[1])
+    refute = _parse_law_at(rest, base, "expected law after 'refute'")
+    clause, base = parts[2]
+    m = re.match(r"\s*orders\s", clause, re.IGNORECASE)
+    # a clause without the keyword is a malformed range, reported where it starts
+    orders = parse_orders(clause[m.end():] if m else "", base + _skip_ws(clause, 0))
+    return SearchSpec(assume=tuple(assume), refute=refute, orders=orders)

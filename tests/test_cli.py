@@ -15,6 +15,7 @@ import pytest
 from magma_lab import cli, search
 from magma_lab.cli import main
 from magma_lab.core import Magma, format_table, magma_from_rows
+from magma_lab.dsl import parse_spec
 from magma_lab.enumeration import ALL_MAGMAS
 from magma_lab.laws import LOOP, A, C
 from magma_lab.schemas import SCHEMAS
@@ -86,6 +87,37 @@ def test_check_law_file(write_table, tmp_path, capsys):
     code, out, _ = run(capsys, "check", "--table", path, "--law-file", str(law_file))
     assert code == 0
     assert out.splitlines() == ["H: holds", "a + b = b + a: holds"]
+
+
+def test_law_file_error_names_the_line(write_table, tmp_path, capsys):
+    path = write_table(ZN_ADD_2)
+    law_file = tmp_path / "laws.txt"
+    law_file.write_text("# laws\nH\n\n   a + (b = c\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", "--table", path, "--law-file", str(law_file))
+    assert (code, out) == (2, "")
+    assert err == "error: line 4: unbalanced parenthesis at offset 10\n"
+
+
+def test_table_and_law_file_cannot_both_read_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(ZN_SUB_3))
+    code, out, err = run(capsys, "check", "--table", "-", "--law-file", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: --table - and --law-file - cannot both read stdin\n"
+    assert sys.stdin.read() == ZN_SUB_3
+
+
+@pytest.mark.parametrize("argv, offset", [
+    (("check", "--table", "ZN_SUB_3", "--law", "A, a+"), 3),
+    (("count", "--order", "2", "--assume", "C,A,a+b=("), 9),
+    (("search", "--assume", "A,", "--refute", "C", "--orders", "1..2"), 2),
+    (("search", "--assume", "", "--refute", "C", "--orders", "1..2"), 0),
+    (("enumerate", "--order", "2", "--assume", "C", "--assume", "A,,C"), 2),
+])
+def test_law_list_flag_offsets_point_into_the_value(write_table, capsys, argv, offset):
+    argv = [write_table(ZN_SUB_3) if a == "ZN_SUB_3" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(f" at offset {offset}\n")
 
 
 def test_check_without_laws(write_table, capsys):
@@ -341,6 +373,31 @@ def test_search_malformed_orders(capsys):
                        "--orders", "3-1")
     assert code == 2
     assert "malformed order range" in err
+
+
+@pytest.mark.parametrize("orders", ["0..2", "3..1"])
+def test_search_rejects_empty_order_ranges(capsys, orders):
+    code, out, err = run(capsys, "search", "--assume", "C", "--refute", "A", "--orders", orders)
+    assert (code, out) == (2, "")
+    assert err == "error: malformed order range at offset 0\n"
+
+
+def test_search_orders_flag_allows_spaces(capsys):
+    argv = ("search", "--assume", "C", "--refute", "A")
+    assert run(capsys, *argv, "--orders", " 1..3") == run(capsys, *argv, "--orders", "1..3")
+
+
+@pytest.mark.parametrize("flags, spec", [
+    (("--assume", "H,CAI", "--refute", "ABELIAN", "--orders", "1..5"),
+     "assume H,CAI; refute ABELIAN; orders 1..5"),
+    (("--assume", "H", "--assume", " AGI ", "--refute", "NE", "--orders", " 1..3 "),
+     "assume H, AGI; refute NE; orders  1..3"),
+    (("--assume", "C, a + (b + c) = (a + b) + c", "--refute", "a+b=b+a", "--orders", "2 .. 4"),
+     "ASSUME C, a + (b + c) = (a + b) + c; Refute a+b=b+a; orders 2 .. 4;"),
+])
+def test_flags_and_spec_build_equal_search_specs(flags, spec):
+    args = cli.build_parser().parse_args(["search", *flags])
+    assert cli._search_spec_from_args(args) == parse_spec(spec)
 
 
 def test_search_cap_is_checked_without_building_every_order(capsys, monkeypatch):

@@ -71,6 +71,13 @@ def test_parse_table_errors():
         parse_table("0\n")
 
 
+def test_parse_table_out_of_range_entry_names_its_line():
+    with pytest.raises(TableError, match=r"^line 4: entry 5 out of range at \(1,1\)$"):
+        parse_table("2\n0 1\n# second row\n1 5\n")
+    with pytest.raises(TableError, match=r"^line 2: entry -1 out of range at \(0,0\)$"):
+        parse_table("2\n-1 0\n0 0\n")
+
+
 def test_format_table_shape():
     assert format_table(Z2) == "2\n0 1\n1 0\n"
 

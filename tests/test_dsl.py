@@ -10,6 +10,9 @@ from magma_lab.dsl import (
     law_equal,
     parse_equation,
     parse_law,
+    parse_law_file,
+    parse_laws,
+    parse_orders,
     parse_spec,
 )
 from magma_lab.laws import AGI, BY_NAME, CAI, CAII, C, EQUATIONAL_LAWS, H, NE, Equation, user_law
@@ -171,6 +174,59 @@ def test_parse_spec_errors():
         parse_spec("assume H; refute NE; orders one..3")
     with pytest.raises(LawSyntaxError, match="expected 'assume ...; refute"):
         parse_spec("assume H; refute NE")
+
+
+def test_parse_laws():
+    assert parse_laws("H, AGI") == [H, AGI]
+    assert law_equal(parse_laws(" C , a + b = b + a")[1], C)
+
+
+@pytest.mark.parametrize("text, base, message, offset", [
+    ("A, a+", 0, "expected a law name or an equation", 3),
+    ("C,A,a+b=(", 0, "unbalanced parenthesis", 9),
+    ("A,", 0, "expected a law", 2),
+    ("", 0, "expected a law", 0),
+    (" , A", 0, "expected a law", 0),
+    ("A,,B", 7, "expected a law", 9),
+    ("A, a + b) = c", 7, "unbalanced parenthesis", 15),
+])
+def test_parse_laws_error_offsets(text, base, message, offset):
+    with pytest.raises(LawSyntaxError) as info:
+        parse_laws(text, base)
+    assert str(info.value) == f"{message} at offset {offset}"
+    assert info.value.offset == offset
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1..3", (1, 3)), (" 1..3", (1, 3)), ("2 .. 2 ", (2, 2)), ("1..1000000000000", (1, 10**12)),
+])
+def test_parse_orders(text, want):
+    assert parse_orders(text) == want
+
+
+@pytest.mark.parametrize("text", ["0..2", "3..1", "3-1", "1..", "one..3", "1..3..5", ""])
+def test_parse_orders_rejects(text):
+    with pytest.raises(LawSyntaxError) as info:
+        parse_orders(text, 4)
+    assert str(info.value) == "malformed order range at offset 4"
+
+
+def test_parse_law_file():
+    text = "# laws\nH\n\n   # indented comment\n  a + b = b + a\r\nCAI\n"
+    laws = parse_law_file(text)
+    assert laws[0] is H and laws[2] is CAI
+    assert law_equal(laws[1], C)
+    assert parse_law_file("# nothing\n\n") == []
+
+
+@pytest.mark.parametrize("line, message", [
+    ("   a + (b = c", "unbalanced parenthesis at offset 10"),
+    ("  FOO", "unknown law name 'FOO' at offset 2"),
+])
+def test_law_file_error_names_the_line(line, message):
+    with pytest.raises(LawSyntaxError) as info:
+        parse_law_file(f"# laws\nH\n\n{line}\nC\n")
+    assert str(info.value) == f"line 4: {message}"
 
 
 def test_spec_error_offsets_are_absolute():

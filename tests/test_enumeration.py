@@ -263,6 +263,14 @@ def test_order_limit_of_a_table_byte(monkeypatch):
         validate_spec(EnumSpec(256, LATIN))
 
 
+def test_up_to_iso_reaches_the_canonical_cap(monkeypatch):
+    # the cap override lifts every order cap, so only up_to_iso's own bound decides
+    monkeypatch.setenv(MAX_ORDER_ENV, "8")
+    validate_spec(EnumSpec(7, LATIN, (C,), up_to_iso=True))
+    with pytest.raises(InfeasibleError, match=r"up_to_iso needs order <= 7"):
+        validate_spec(EnumSpec(8, LATIN, (C,), up_to_iso=True))
+
+
 def test_equational_count_does_not_stream(monkeypatch):
     specs = (EnumSpec(3, constraints=(C,)), EnumSpec(4, LATIN, constraints=(CAI,)))
     want = [sum(1 for _ in tables(spec)) for spec in specs]

@@ -9,6 +9,9 @@ is read somewhere in src/, outside its own definition.
 
 A third scan keeps one cap policy: enumeration.py is the only module in
 src/magma_lab/ that reads the environment or names MAX_ORDER_ENV.
+
+A fourth keeps one parser of request text: dsl.py is the only module in
+src/magma_lab/ that imports re.
 """
 
 import ast
@@ -158,3 +161,43 @@ def test_scan_sees_a_second_cap_reader():
     ):
         sources["b"] = reader
         assert env_readers(sources) == ["a", "b"], reader
+
+
+def _imports_re(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "re" for alias in node.names)
+    # a relative import (level > 0) names a module of the package, not re
+    return (
+        isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "re"
+    )
+
+
+def re_importers(sources: dict) -> list:
+    """Sorted names of the modules in sources (module name to source text)
+    that import re or import anything from it, at any depth."""
+    return sorted(
+        module
+        for module, text in sources.items()
+        if any(_imports_re(n) for n in ast.walk(ast.parse(text)))
+    )
+
+
+def test_only_dsl_imports_re():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert re_importers(sources) == ["dsl"]
+
+
+def test_scan_sees_a_second_re_importer():
+    sources = {
+        "a": "import re\nNAME = re.compile('[a-z]+')\n",
+        "b": "from . import regexes\nfrom .re_tools import split\nimport os\n",
+    }
+    assert re_importers(sources) == ["a"]
+    for importer in (
+        "import re as regex\n",
+        "from re import compile\n",
+        "import os, re\n",
+        "def scan(text):\n    import re\n    return re.split(',', text)\n",
+    ):
+        sources["b"] = importer
+        assert re_importers(sources) == ["a", "b"], importer
