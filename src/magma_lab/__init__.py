@@ -5,6 +5,7 @@ from .core import (
     TableError,
     canonical_form,
     format_table,
+    is_canonical,
     is_isomorphic,
     magma_from_rows,
     parse_table,
@@ -62,8 +63,8 @@ from .theorems import CATALOG, TheoremSpec, VerificationReport, theorem_catalog,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Magma", "TableError", "canonical_form", "format_table", "is_isomorphic",
-    "magma_from_rows", "parse_table", "relabel",
+    "Magma", "TableError", "canonical_form", "format_table", "is_canonical",
+    "is_isomorphic", "magma_from_rows", "parse_table", "relabel",
     "LawSyntaxError", "format_law", "law_equal", "parse_law", "parse_spec",
     "ALL_MAGMAS", "LATIN", "EnumSpec", "InfeasibleError", "count", "tables",
     "A", "C", "NE", "IN", "CAI", "CAII", "AGI", "AGII", "R", "H", "CA",

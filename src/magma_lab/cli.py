@@ -40,9 +40,14 @@ def _load_magma(path: str) -> Magma:
     return parse_table(_read_text(path))
 
 
-def _law_lists(values) -> list:
-    """The laws of a repeatable law-list flag, in order."""
-    return [law for value in values or () for law in parse_laws(value)]
+def _law_lists(values, flag: str) -> list:
+    """The laws of a repeatable law-list flag, in order. An error names the
+    occurrence its offset counts in: '--assume #2: ...' for the second."""
+    return [
+        law
+        for k, value in enumerate(values or (), start=1)
+        for law in parse_laws(value, prefix=f"{flag} #{k}: ")
+    ]
 
 
 def _fmt_pairs(d: dict) -> str:
@@ -67,7 +72,7 @@ def _cmd_check(args) -> int:
     if args.table == "-" and args.law_file == "-":
         raise ValueError("--table - and --law-file - cannot both read stdin")
     m = _load_magma(args.table)
-    laws = _law_lists(args.law)
+    laws = _law_lists(args.law, "--law")
     if args.law_file:
         laws += parse_law_file(_read_text(args.law_file))
     if not laws:
@@ -132,7 +137,7 @@ def _cmd_canon(args) -> int:
 
 
 def _enum_spec_from_args(args):
-    spec = models_spec(_law_lists(args.assume), args.order, _MODES[args.mode] == LATIN)
+    spec = models_spec(_law_lists(args.assume, "--assume"), args.order, _MODES[args.mode] == LATIN)
     return replace(spec, up_to_iso=args.up_to_iso)
 
 
@@ -191,7 +196,7 @@ def _search_spec_from_args(args) -> SearchSpec:
     if not (args.assume and args.refute and args.orders):
         raise ValueError("need either --spec or all of --assume, --refute, --orders")
     return SearchSpec(
-        assume=tuple(_law_lists(args.assume)),
+        assume=tuple(_law_lists(args.assume, "--assume")),
         refute=parse_law(args.refute),
         orders=parse_orders(args.orders),
     )

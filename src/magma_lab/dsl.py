@@ -152,26 +152,43 @@ def _parse_law_at(text: str, base: int, missing: str = "expected a law", prefix:
     """parse_law on text found at base in the string as typed: a blank text
     fails with missing, and an error's message gains prefix."""
     if not text.strip():
-        raise LawSyntaxError(missing, base)
+        raise LawSyntaxError(prefix + missing, base)
     try:
         return parse_law(text)
     except LawSyntaxError as exc:
         raise LawSyntaxError(prefix + exc.message, base + exc.offset) from None
 
 
-def parse_laws(text: str, base: int = 0, missing: str = "expected a law") -> list[Law]:
+def parse_laws(
+    text: str, base: int = 0, missing: str = "expected a law", prefix: str = ""
+) -> list[Law]:
     """Parse a comma-separated law list. Error offsets count from base, where
-    text starts in the string as typed; an empty item fails with missing."""
-    return [_parse_law_at(piece, start, missing) for piece, start in _split(text, ",", base)]
+    text starts in the string as typed; an empty item fails with missing,
+    and an error's message gains prefix."""
+    return [
+        _parse_law_at(piece, start, missing, prefix) for piece, start in _split(text, ",", base)
+    ]
 
 
 def parse_orders(text: str, base: int = 0) -> tuple[int, int]:
-    """Parse an order range 'lo..hi' with 1 <= lo <= hi. Any error is
-    reported at base, where the caller's range clause starts."""
+    """Parse an order range 'lo..hi' with 1 <= lo <= hi. Offsets count from
+    base, where text starts in the string as typed: a malformed range is
+    reported where the range starts, and an order with more digits than
+    int() converts where that order starts."""
     m = re.match(r"\s*(\d+)\s*\.\.\s*(\d+)\s*\Z", text)
-    if m is None or not 1 <= int(m[1]) <= int(m[2]):
-        raise LawSyntaxError("malformed order range", base)
-    return int(m[1]), int(m[2])
+    start = base + _skip_ws(text, 0)
+    if m is None:
+        raise LawSyntaxError("malformed order range", start)
+    bounds = []
+    for k in (1, 2):
+        try:
+            bounds.append(int(m[k]))
+        except ValueError:
+            raise LawSyntaxError("order too large", base + m.start(k)) from None
+    lo, hi = bounds
+    if not 1 <= lo <= hi:
+        raise LawSyntaxError("malformed order range", start)
+    return lo, hi
 
 
 def parse_law_file(text: str) -> list[Law]:
@@ -202,5 +219,8 @@ def parse_spec(text: str) -> SearchSpec:
     clause, base = parts[2]
     m = re.match(r"\s*orders\s", clause, re.IGNORECASE)
     # a clause without the keyword is a malformed range, reported where it starts
-    orders = parse_orders(clause[m.end():] if m else "", base + _skip_ws(clause, 0))
+    if m is None:
+        orders = parse_orders("", base + _skip_ws(clause, 0))
+    else:
+        orders = parse_orders(clause[m.end():], base + m.end())
     return SearchSpec(assume=tuple(assume), refute=refute, orders=orders)

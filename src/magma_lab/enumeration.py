@@ -22,6 +22,10 @@ instead, so their work can be farmed out to worker processes; sub-streams
 are merged back in first-row order, which keeps the output identical for
 any worker count. Tables pass between these layers as bytes.
 
+An up_to_iso stream leaves out the first rows that no canonical table has
+(_may_lead_canonical), in either kind of job, and keeps a table only when
+is_canonical says so.
+
 One stream, two views: tables yields a Magma per table, and blocks yields
 the same tables as flat bytes, one list per first-row chunk, so a consumer
 that renders tables in bulk (enumerate's text output) builds no Magma for
@@ -34,11 +38,12 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial
+from math import ceil, factorial
 from multiprocessing import Pool
 from typing import Iterator
 
-from .core import CANONICAL_CAP, Magma, canonical_form
+from . import core
+from .core import CANONICAL_CAP, Magma, is_canonical
 from .laws import PARTS, H, Law, _checker, check_assignment_cap, is_tautology
 from .properties import check_H, holds
 
@@ -49,6 +54,9 @@ LATIN = "latin-squares"
 _PLAIN_CAP = {ALL_MAGMAS: 3, LATIN: 5}
 
 MAX_ORDER_ENV = "MAGMA_LAB_MAX_ORDER"
+
+# perfbench/tracing.py wraps enumeration.canonical_form, so the name stays bound here.
+canonical_form = core.canonical_form
 
 
 class InfeasibleError(ValueError):
@@ -253,11 +261,32 @@ def _run(n: int, latin: bool, parking, prefix, collect) -> int:
     return count
 
 
+def _may_lead_canonical(row) -> bool:
+    """Whether row can be the first row of a canonical (lexicographically
+    least) table: each entry row[c] is at most 1 + max(c, row[0..c-1]),
+    the max of nothing being -1.
+
+    Proof: say v = row[c] is larger, and let u = max(c, row[0..c-1]) + 1,
+    so u < v. Swapping the labels u and v fixes 0..c and every value of
+    row[0..c-1], all below u, so it leaves cells (0, 0..c-1) alone and puts
+    u < v in cell (0, c): the relabeled table is less. This is the
+    least-number heuristic of SEM (Zhang & Zhang, 1995) on the first row.
+    """
+    top = -1
+    for c, v in enumerate(row):
+        top = max(top, c)
+        if v > top + 1:
+            return False
+        top = max(top, v)
+    return True
+
+
 def _prefixes(spec: EnumSpec):
+    """The first rows of spec's tables, in lexicographic order; up_to_iso
+    drops those that no canonical table has."""
     n = spec.order
-    if spec.mode == LATIN:
-        return permutations(range(n))
-    return product(range(n), repeat=n)
+    rows = permutations(range(n)) if spec.mode == LATIN else product(range(n), repeat=n)
+    return filter(_may_lead_canonical, rows) if spec.up_to_iso else rows
 
 
 def _normal_job(n: int, collect) -> int:
@@ -265,14 +294,16 @@ def _normal_job(n: int, collect) -> int:
     return _run(n, True, (((),) * (n * n), ()), tuple(range(n)), collect)
 
 
-def _relabeled(n: int):
-    """Every Latin square of order n, one sorted list per first row in
-    first-row order, by relabeling the normal job's squares. Bytes compare
-    like tuples of small ints, so sorting restores flat-table order."""
+def _relabeled(spec: EnumSpec):
+    """The Latin squares of spec's order, one sorted list per first row of
+    _prefixes(spec) in first-row order, by relabeling the normal job's squares.
+    Bytes compare like tuples of small ints, so sorting restores flat-table
+    order."""
+    n = spec.order
     normal: list = []
     _normal_job(n, normal)
     pad = bytes(256 - n)
-    for p in permutations(range(n)):
+    for p in _prefixes(spec):
         relabel = bytes(p) + pad
         yield sorted(sq.translate(relabel) for sq in normal)
 
@@ -291,7 +322,8 @@ def _subtrees(spec: EnumSpec, workers: int, counting: bool):
 
     A job carries the (arity, code) program of each equational constraint,
     never a law or a term tree. The pool never gets more processes than
-    there are CPUs or jobs.
+    there are CPUs or jobs, and hands them out in chunks by Pool.map's
+    rule, about four chunks per process.
     """
     eqs = [law.equation for law in _split_constraints(spec)[0]]
     programs = tuple((len(eq.variables), eq.code) for eq in eqs)
@@ -302,7 +334,7 @@ def _subtrees(spec: EnumSpec, workers: int, counting: bool):
         yield from map(_subtree, jobs)
         return
     with Pool(workers) as pool:
-        yield from pool.imap(_subtree, jobs, chunksize=1)
+        yield from pool.imap(_subtree, jobs, ceil(len(jobs) / (4 * workers)))
 
 
 def _stream(spec: EnumSpec, workers: int):
@@ -313,14 +345,14 @@ def _stream(spec: EnumSpec, workers: int):
     validate_spec(spec)
     eqs, post = _split_constraints(spec)
     if spec.mode == LATIN and not eqs:
-        chunks = _relabeled(spec.order)
+        chunks = _relabeled(spec)
     else:
         chunks = _subtrees(spec, workers, counting=False)
     if not (spec.up_to_iso or spec.non_latin or post):
         return chunks, None
 
     def keep(m: Magma) -> bool:
-        if spec.up_to_iso and canonical_form(m).table != m.table:
+        if spec.up_to_iso and not is_canonical(m):
             return False
         if spec.non_latin and check_H(m).holds:
             return False

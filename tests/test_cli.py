@@ -120,6 +120,27 @@ def test_law_list_flag_offsets_point_into_the_value(write_table, capsys, argv, o
     assert err.startswith("error: ") and err.endswith(f" at offset {offset}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("enumerate", "--order", "2", "--assume", "C", "--assume", "A,,C"),
+     "--assume #2: expected a law at offset 2"),
+    (("check", "--table", "ZN_SUB_3", "--law", "A", "--law", "C", "--law", " a+"),
+     "--law #3: expected a law name or an equation at offset 1"),
+    (("search", "--assume", "", "--refute", "C", "--orders", "1..2"),
+     "--assume #1: expected a law at offset 0"),
+])
+def test_repeated_law_list_flag_errors_name_the_occurrence(write_table, capsys, argv, message):
+    argv = [write_table(ZN_SUB_3) if a == "ZN_SUB_3" else a for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flags, offset", [
+    (("--assume", "A", "--refute", "C", "--orders", "1.." + "9" * 5000), 3),
+    (("--spec", "assume A; refute C; orders 1.." + "9" * 5000), 30),
+])
+def test_an_order_too_large_for_int_is_a_syntax_error(capsys, flags, offset):
+    assert run(capsys, "search", *flags) == (2, "", f"error: order too large at offset {offset}\n")
+
+
 def test_check_without_laws(write_table, capsys):
     path = write_table(ZN_SUB_3)
     code, _, err = run(capsys, "check", "--table", path)

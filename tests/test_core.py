@@ -9,6 +9,7 @@ from magma_lab.core import (
     canonical_form,
     format_table,
     format_tables,
+    is_canonical,
     is_isomorphic,
     magma_from_rows,
     parse_table,
@@ -69,6 +70,16 @@ def test_parse_table_errors():
         parse_table("2\n0 1\n1 q\n")
     with pytest.raises(TableError, match="order must be positive"):
         parse_table("0\n")
+
+
+@pytest.mark.parametrize("text, quoted", [
+    ("9" * 5000 + "\n0\n", "line 1: expected integer order, got '99999999999999999999'..."),
+    ("2\n0 1\n1 " + "q" * 5000 + "\n", "line 3: non-integer token 'qqqqqqqqqqqqqqqqqqqq'..."),
+])
+def test_parse_table_quotes_a_bounded_prefix_of_a_long_token(text, quoted):
+    with pytest.raises(TableError) as info:
+        parse_table(text)
+    assert str(info.value) == quoted + " (5000 characters)"
 
 
 def test_parse_table_out_of_range_entry_names_its_line():
@@ -136,6 +147,17 @@ def test_canonical_cap():
     big = Magma(8, tuple(0 for _ in range(64)))
     with pytest.raises(TableError, match="exceeds canonicalization cap"):
         canonical_form(big)
+    with pytest.raises(TableError, match="exceeds canonicalization cap 7"):
+        is_canonical(big)
+
+
+@PROPERTY
+@given(magmas(1, 5), st.booleans())
+def test_is_canonical_is_the_scan_compared_with_the_table(m, as_form):
+    # feeding in canonical forms makes the True cases as common as the False ones
+    if as_form:
+        m = canonical_form(m)
+    assert is_canonical(m) == (canonical_form(m) == m)
 
 
 @PROPERTY

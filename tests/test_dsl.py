@@ -211,6 +211,39 @@ def test_parse_orders_rejects(text):
     assert str(info.value) == "malformed order range at offset 4"
 
 
+NINES = "9" * 5000  # more digits than int() converts
+
+
+@pytest.mark.parametrize("text, base, offset", [
+    (f"1..{NINES}", 0, 3),
+    (f" {NINES} .. 3", 4, 5),
+    (f"2 ..  {NINES}", 10, 16),
+])
+def test_parse_orders_reports_an_order_too_large_where_it_starts(text, base, offset):
+    with pytest.raises(LawSyntaxError) as info:
+        parse_orders(text, base)
+    assert str(info.value) == f"order too large at offset {offset}"
+
+
+@pytest.mark.parametrize("text, offset", [
+    (f"assume A; refute C; orders 1..{NINES}", 30),
+    ("assume A; refute C; orders  3..1", 28),
+    ("assume A; refute C;  1..3", 21),
+])
+def test_parse_spec_range_errors_point_into_the_spec(text, offset):
+    with pytest.raises(LawSyntaxError) as info:
+        parse_spec(text)
+    assert info.value.offset == offset
+
+
+def test_parse_laws_prefixes_its_errors():
+    cases = (("A,,C", "expected a law"), ("A, a+", "expected a law name or an equation"))
+    for text, message in cases:
+        with pytest.raises(LawSyntaxError) as info:
+            parse_laws(text, prefix="--law #2: ")
+        assert info.value.message == f"--law #2: {message}"
+
+
 def test_parse_law_file():
     text = "# laws\nH\n\n   # indented comment\n  a + b = b + a\r\nCAI\n"
     laws = parse_law_file(text)

@@ -1,12 +1,15 @@
 import ast
 import random
 import re
-from itertools import product
+from dataclasses import replace
+from functools import lru_cache
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magma_lab import enumeration, laws
+from magma_lab import cli, enumeration, laws
 from magma_lab.core import Magma, canonical_form
 from magma_lab.enumeration import (
     ALL_MAGMAS,
@@ -174,7 +177,7 @@ def test_worker_counts_identical():
     assert count(spec, workers=1) == count(spec, workers=2) == 576
 
 
-def _fake_pool(sizes, jobs):
+def _fake_pool(sizes, jobs, chunksizes=None):
     class FakePool:
         """Runs the jobs in process and records its size and the jobs."""
 
@@ -190,6 +193,8 @@ def _fake_pool(sizes, jobs):
         def imap(self, fn, todo, chunksize=1):
             todo = list(todo)
             jobs.extend(todo)
+            if chunksizes is not None:
+                chunksizes.append(chunksize)
             return map(fn, todo)
 
     return FakePool
@@ -208,6 +213,17 @@ def test_pool_size_is_clamped(monkeypatch):
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
     assert count(spec, workers=64) == 16
     assert sizes == [4, 3, 4]
+
+
+def test_pool_hands_out_jobs_in_chunks(monkeypatch):
+    # Pool.map's rule: about four chunks per process
+    sizes, chunksizes = [], []
+    monkeypatch.setattr(enumeration, "Pool", _fake_pool(sizes, [], chunksizes))
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
+    assert count(EnumSpec(4, LATIN, (C,)), workers=2) == 96  # 24 jobs
+    assert count(EnumSpec(3, constraints=(C,)), workers=4) == 729  # 27 jobs
+    assert count(EnumSpec(2), workers=4) == 16  # 4 jobs
+    assert sizes == [2, 4, 4] and chunksizes == [3, 2, 1]
 
 
 def _opened(*args, **kwargs):
@@ -397,6 +413,73 @@ def test_constrained_latin_stream_equals_filtered_latin_domain(laws, n):
     got = [m.table for m in tables(spec)]
     want = [m.table for m in _unconstrained(n, LATIN) if all(ref_holds(m, law) for law in laws)]
     assert got == want
+
+
+@lru_cache(maxsize=None)
+def _reference_forms(spec):
+    """The sorted reference canonical forms of spec's unpruned stream."""
+    return sorted({canonical_table(m) for m in tables(spec)})
+
+
+ROW_CUT_DOMAINS = {
+    "all 3": EnumSpec(3),
+    "latin 4": EnumSpec(4, LATIN),
+    "A 4": EnumSpec(4, constraints=(A,)),
+}
+
+
+@pytest.mark.parametrize("spec", ROW_CUT_DOMAINS.values(), ids=ROW_CUT_DOMAINS)
+def test_every_canonical_table_keeps_the_first_row_rule(spec):
+    n = spec.order
+    forms = _reference_forms(spec)
+    assert forms and all(enumeration._may_lead_canonical(t[:n]) for t in forms)
+
+
+@pytest.mark.parametrize("spec, kept", [
+    (EnumSpec(6, LATIN, up_to_iso=True), 32),
+    (EnumSpec(5, LATIN, up_to_iso=True), 16),
+    (EnumSpec(3, up_to_iso=True), 18),
+    (EnumSpec(4, up_to_iso=True), 96),
+])
+def test_up_to_iso_drops_first_rows_no_canonical_table_has(spec, kept):
+    n = spec.order
+    rows = permutations(range(n)) if spec.mode == LATIN else product(range(n), repeat=n)
+    want = [row for row in rows if enumeration._may_lead_canonical(row)]
+    assert list(enumeration._prefixes(spec)) == want and len(want) == kept
+    plain = list(enumeration._prefixes(replace(spec, up_to_iso=False)))
+    assert len(plain) == (factorial(n) if spec.mode == LATIN else n**n)
+
+
+ISO_STREAMS = {**ROW_CUT_DOMAINS, "latin 5 CAI": EnumSpec(5, LATIN, (CAI,))}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec", ISO_STREAMS.values(), ids=ISO_STREAMS)
+def test_pruned_up_to_iso_stream_is_the_sorted_reference_forms(spec, workers):
+    got = [m.table for m in tables(replace(spec, up_to_iso=True), workers)]
+    assert got == _reference_forms(spec)
+
+
+def test_up_to_iso_work_of_an_order_6_enumeration_is_pinned(monkeypatch, capsys):
+    # A deterministic work figure: without the first-row cut the stream had
+    # 720 first-row jobs and tested all 360 tables for canonicity.
+    jobs, tested = [0], [0]
+    subtree, canonical = enumeration._subtree, enumeration.is_canonical
+
+    def counted_subtree(job):
+        jobs[0] += 1
+        return subtree(job)
+
+    def counted_canonical(m):
+        tested[0] += 1
+        return canonical(m)
+
+    monkeypatch.setattr(enumeration, "_subtree", counted_subtree)
+    monkeypatch.setattr(enumeration, "is_canonical", counted_canonical)
+    argv = ["enumerate", "--order", "6", "--mode", "latin", "--assume", "CAI", "--up-to-iso"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.endswith("\n1 tables\n")
+    assert (jobs[0], tested[0]) == (32, 68)
 
 
 def test_checker_calls_of_an_order_4_count_are_pinned(monkeypatch):
