@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .core import Magma, canonical_form, format_table, format_tables, parse_table
+from .core import Magma, _excerpt_int, canonical_form, format_table, format_tables, parse_table
 from .dsl import format_law, parse_law, parse_law_file, parse_laws, parse_orders, parse_spec
 from .enumeration import ALL_MAGMAS, LATIN, blocks, count as count_tables, models_spec, tables
 from .properties import check_law, classify
@@ -288,7 +288,7 @@ def _cmd_examples(args) -> int:
     if args.id is not None:
         records = [r for r in records if r.example == args.id]
         if not records:
-            raise ValueError(f"no example numbered {args.id}")
+            raise ValueError(f"no example numbered {_excerpt_int(args.id)}")
     if args.emit:
         out = Path(args.emit)
         out.mkdir(parents=True, exist_ok=True)
@@ -331,7 +331,7 @@ def _cmd_examples(args) -> int:
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {_excerpt_int(value)}")
     return value
 
 

@@ -76,6 +76,16 @@ def _excerpt(token: str, limit: int = 20) -> str:
     return f"{token[:limit]!r}... ({len(token)} characters)"
 
 
+def _excerpt_int(v: int, limit: int = 20) -> str:
+    """v in decimal, cut like _excerpt cuts a token: past limit digits, its
+    first limit digits and its digit count."""
+    text = str(v)
+    digits = len(text) - (v < 0)
+    if digits <= limit:
+        return text
+    return f"{text[:limit + (v < 0)]}... ({digits} digits)"
+
+
 def content_lines(text: str):
     """(line number, line as written) for each line of text that is neither
     blank nor a '#' comment: the lines a Cayley file or a law file holds."""
@@ -104,7 +114,7 @@ def parse_table(text: str) -> Magma:
         raise TableError(f"line {ln}: order must be positive")
     body = content[1:]
     if len(body) != order:
-        raise TableError(f"expected {order} rows, found {len(body)}")
+        raise TableError(f"expected {_excerpt_int(order)} rows, found {len(body)}")
     flat = []
     for r, (ln, line) in enumerate(body):
         toks = line.split()
@@ -116,7 +126,7 @@ def parse_table(text: str) -> Magma:
             except ValueError:
                 raise TableError(f"line {ln}: non-integer token {_excerpt(tok)}") from None
             if not 0 <= v < order:
-                raise TableError(f"line {ln}: entry {v} out of range at ({r},{c})")
+                raise TableError(f"line {ln}: entry {_excerpt_int(v)} out of range at ({r},{c})")
             flat.append(v)
     return Magma(order, flat)
 

@@ -26,10 +26,10 @@ An up_to_iso stream leaves out the first rows that no canonical table has
 (_may_lead_canonical), in either kind of job, and keeps a table only when
 is_canonical says so.
 
-One stream, two views: tables yields a Magma per table, and blocks yields
-the same tables as flat bytes, one list per first-row chunk, so a consumer
-that renders tables in bulk (enumerate's text output) builds no Magma for
-an unfiltered chunk. Both filter through one test (_stream).
+One stream, three views: _stream validates, sources and filters it.
+tables yields a Magma per table; blocks yields flat bytes, one list per
+first-row chunk, and builds no Magma for an unfiltered chunk (enumerate's
+text output); count adds up chunk sizes, bare counts when unfiltered.
 """
 
 from __future__ import annotations
@@ -38,12 +38,12 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
-from math import ceil, factorial
+from math import ceil
 from multiprocessing import Pool
 from typing import Iterator
 
 from . import core
-from .core import CANONICAL_CAP, Magma, is_canonical
+from .core import CANONICAL_CAP, Magma, _excerpt, _excerpt_int, is_canonical
 from .laws import PARTS, H, Law, _checker, check_assignment_cap, is_tautology
 from .properties import check_H, holds
 
@@ -120,16 +120,18 @@ def validate_spec(spec: EnumSpec) -> None:
         try:
             cap = int(env)
         except ValueError:
-            raise InfeasibleError(f"bad {MAX_ORDER_ENV} value {env!r}") from None
+            raise InfeasibleError(f"bad {MAX_ORDER_ENV} value {_excerpt(env)}") from None
     else:
         cap = _PLAIN_CAP[spec.mode] + any(not is_tautology(law.equation) for law in eqs)
     if spec.order > cap:
         raise InfeasibleError(
-            f"order {spec.order} exceeds the {spec.mode} cap {cap}; "
+            f"order {_excerpt_int(spec.order)} exceeds the {spec.mode} cap {_excerpt_int(cap)}; "
             f"set {MAX_ORDER_ENV} to override"
         )
     if spec.order > 255:
-        raise InfeasibleError(f"order {spec.order} exceeds 255, the largest a table byte holds")
+        raise InfeasibleError(
+            f"order {_excerpt_int(spec.order)} exceeds 255, the largest a table byte holds"
+        )
     if spec.up_to_iso and spec.order > CANONICAL_CAP:
         raise InfeasibleError(f"up_to_iso needs order <= {CANONICAL_CAP}")
     check_assignment_cap([law.equation for law in eqs], spec.order, InfeasibleError)
@@ -289,23 +291,18 @@ def _prefixes(spec: EnumSpec):
     return filter(_may_lead_canonical, rows) if spec.up_to_iso else rows
 
 
-def _normal_job(n: int, collect) -> int:
-    """The Latin squares whose first row is 0..n-1; see _run."""
-    return _run(n, True, (((),) * (n * n), ()), tuple(range(n)), collect)
-
-
-def _relabeled(spec: EnumSpec):
-    """The Latin squares of spec's order, one sorted list per first row of
-    _prefixes(spec) in first-row order, by relabeling the normal job's squares.
-    Bytes compare like tuples of small ints, so sorting restores flat-table
-    order."""
+def _relabeled(spec: EnumSpec, counting: bool):
+    """The Latin squares of spec's order, one sorted list (or, counting, its
+    length) per first row p of _prefixes(spec), in first-row order: the
+    normal job's squares, those with first row 0..n-1, relabeled by p. Bytes
+    compare like tuples of small ints, so sorting restores flat-table order."""
     n = spec.order
-    normal: list = []
-    _normal_job(n, normal)
+    normal = None if counting else []
+    found = _run(n, True, (((),) * (n * n), ()), tuple(range(n)), normal)
     pad = bytes(256 - n)
     for p in _prefixes(spec):
         relabel = bytes(p) + pad
-        yield sorted(sq.translate(relabel) for sq in normal)
+        yield found if counting else sorted(sq.translate(relabel) for sq in normal)
 
 
 def _subtree(job):
@@ -337,65 +334,54 @@ def _subtrees(spec: EnumSpec, workers: int, counting: bool):
         yield from pool.imap(_subtree, jobs, ceil(len(jobs) / (4 * workers)))
 
 
-def _stream(spec: EnumSpec, workers: int):
-    """The unfiltered chunks of spec's stream, one list of flat bytes
-    tables per first row in first-row order, and the one test keep(m) a
-    table must pass besides: up_to_iso, non_latin and the post laws, or
-    None when every table passes."""
+def _stream(spec: EnumSpec, workers: int, counting: bool = False):
+    """spec's stream, one chunk per first row in first-row order: the flat
+    bytes tables that pass up_to_iso, non_latin and the post laws, tested
+    one at a time as the chunk is read, or, counting, only their number.
+    Plain Latin streams relabel the normal job; the others backtrack."""
     validate_spec(spec)
     eqs, post = _split_constraints(spec)
+    filtered = spec.up_to_iso or spec.non_latin or post
+    bare = counting and not filtered
     if spec.mode == LATIN and not eqs:
-        chunks = _relabeled(spec)
+        chunks = _relabeled(spec, bare)
     else:
-        chunks = _subtrees(spec, workers, counting=False)
-    if not (spec.up_to_iso or spec.non_latin or post):
-        return chunks, None
+        chunks = _subtrees(spec, workers, bare)
+    if not filtered:
+        return chunks
+    order = spec.order
 
-    def keep(m: Magma) -> bool:
+    def keep(raw: bytes) -> bool:
+        m = Magma(order, raw)
         if spec.up_to_iso and not is_canonical(m):
             return False
         if spec.non_latin and check_H(m).holds:
             return False
         return all(holds(m, law) for law in post)
 
-    return chunks, keep
+    kept = (filter(keep, chunk) for chunk in chunks)
+    return (sum(1 for _ in chunk) for chunk in kept) if counting else kept
 
 
 def tables(spec: EnumSpec, workers: int = 1) -> Iterator[Magma]:
     """Stream the matching magmas in lexicographic flat-table order. A
     stream without equational constraints in Latin mode relabels the normal
     job in this process and starts no pool, whatever workers says."""
-    chunks, keep = _stream(spec, workers)
     order = spec.order
-    for chunk in chunks:
+    for chunk in _stream(spec, workers):
         for raw in chunk:
-            m = Magma(order, raw)
-            if keep is None or keep(m):
-                yield m
+            yield Magma(order, raw)
 
 
 def blocks(spec: EnumSpec, workers: int = 1) -> Iterator[list[bytes]]:
     """The stream of tables, as flat bytes, one list per first-row chunk:
     flattened, it is bytes(m.table) for each m of tables(spec, workers).
-    An unfiltered chunk passes as it is, and no Magma is built for it."""
-    chunks, keep = _stream(spec, workers)
-    if keep is None:
-        yield from chunks
-        return
-    order = spec.order
-    for chunk in chunks:
-        yield [raw for raw in chunk if keep(Magma(order, raw))]
+    No Magma is built for an unfiltered chunk."""
+    yield from map(list, _stream(spec, workers))
 
 
 def count(spec: EnumSpec, workers: int = 1) -> int:
-    """Number of matching tables; avoids materializing them when it can.
-    Plain Latin squares take one job: renaming the values maps each square to
-    exactly one with first row 0..n-1, so the count is n! times those."""
-    validate_spec(spec)
-    _, post = _split_constraints(spec)
-    if spec.up_to_iso or post or spec.non_latin:
-        return sum(map(len, blocks(spec, workers)))
-    n = spec.order
-    if spec.mode == LATIN and not spec.constraints:
-        return factorial(n) * _normal_job(n, None)
-    return sum(_subtrees(spec, workers, counting=True))
+    """Number of matching tables. An unfiltered stream is counted without
+    materializing its tables; plain Latin squares take one job, whose count
+    is added up over the first rows."""
+    return sum(_stream(spec, workers, counting=True))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import Magma
+from .core import Magma, _excerpt_int
 from .enumeration import (
     ALL_MAGMAS,
     LATIN,
@@ -156,7 +156,7 @@ def verify_theorems(specs, max_order: int) -> list[VerificationReport]:
     every premise stream must pass validate_spec at max_order; a failure is
     raised as InfeasibleError naming the theorem."""
     if max_order < 1:
-        raise ValueError(f"max order must be positive, got {max_order}")
+        raise ValueError(f"max order must be positive, got {_excerpt_int(max_order)}")
     specs = list(specs)
     for spec in specs:
         quasi = spec.domain == QUASIGROUPS

@@ -141,6 +141,38 @@ def test_an_order_too_large_for_int_is_a_syntax_error(capsys, flags, offset):
     assert run(capsys, "search", *flags) == (2, "", f"error: order too large at offset {offset}\n")
 
 
+NINES = "9" * 4000
+
+
+@pytest.mark.parametrize("argv, stdin, env, cut", [
+    (["canon", "--table", "-"], NINES + "\n0\n", None, "expected 99999999999999999999... (4000"),
+    (["check", "--table", "FILE", "--law", "A"], None, None, "entry 99999999999999999999... (4000"),
+    (["count", "--order", NINES], None, None, "order 99999999999999999999... (4000"),
+    (["theorems", "--max-order", NINES], None, None, "order 99999999999999999999... (4000"),
+    (["theorems", "--max-order", "-" + NINES], None, None, "got -99999999999999999999... (4000"),
+    (["count", "--order", "2"], None, "9" * 5000, "value '99999999999999999999'... (5000"),
+    (["examples", "--id", NINES], None, None, "numbered 99999999999999999999... (4000"),
+], ids=["canon order", "check entry", "count order", "theorems order", "theorems negative",
+        "cap override", "example id"])
+def test_error_messages_cut_long_numbers(write_table, capsys, monkeypatch, argv, stdin, env, cut):
+    argv = [write_table("1\n" + NINES + "\n") if a == "FILE" else a for a in argv]
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    if env is not None:
+        monkeypatch.setenv("MAGMA_LAB_MAX_ORDER", env)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and cut in err and len(err.encode()) < 200
+
+
+def test_workers_error_cuts_a_long_value(capsys):
+    # argparse puts its usage line before the message
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--order", "2", "--workers", "-" + NINES])
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert exc.value.code == 2 and len(message) < 200
+    assert message.endswith("got -99999999999999999999... (4000 digits)")
+
+
 def test_check_without_laws(write_table, capsys):
     path = write_table(ZN_SUB_3)
     code, _, err = run(capsys, "check", "--table", path)

@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 from magma_lab.core import (
     Magma,
     TableError,
+    _excerpt_int,
     canonical_form,
     format_table,
     format_tables,
@@ -80,6 +81,13 @@ def test_parse_table_quotes_a_bounded_prefix_of_a_long_token(text, quoted):
     with pytest.raises(TableError) as info:
         parse_table(text)
     assert str(info.value) == quoted + " (5000 characters)"
+
+
+def test_excerpt_int_keeps_twenty_digits_and_cuts_longer():
+    assert _excerpt_int(10 ** 20 - 1) == "9" * 20
+    assert _excerpt_int(-(10 ** 20 - 1)) == "-" + "9" * 20
+    assert _excerpt_int(10 ** 20) == "1" + "0" * 19 + "... (21 digits)"
+    assert _excerpt_int(-(10 ** 20)) == "-1" + "0" * 19 + "... (21 digits)"
 
 
 def test_parse_table_out_of_range_entry_names_its_line():

@@ -24,7 +24,9 @@ from magma_lab.enumeration import (
     validate_spec,
 )
 from magma_lab.dsl import MAX_DEPTH, parse_law
-from magma_lab.laws import AGII, CAI, H, IN, LOOP, NE, R, A, C, Equation, is_tautology, user_law
+from magma_lab.laws import (
+    AGII, CA, CAI, EQUATIONAL_LAWS, H, IN, LOOP, NE, R, A, C, Equation, is_tautology, user_law,
+)
 from magma_lab.properties import check_identity_law, check_law, holds
 from magma_lab.structures import proj1, zn_add
 
@@ -239,6 +241,30 @@ def test_plain_latin_count_is_one_job(monkeypatch, latin_stream_lengths, workers
     assert got == latin_stream_lengths
 
 
+@pytest.mark.parametrize("up_to_iso", [False, True])
+def test_a_plain_latin_count_runs_the_backtracker_once(monkeypatch, up_to_iso):
+    run, runs = enumeration._run, []
+
+    def counted(*args):
+        runs.append(args[:2])  # (order, latin)
+        return run(*args)
+
+    monkeypatch.setattr(enumeration, "_run", counted)
+    assert count(EnumSpec(5, LATIN, up_to_iso=up_to_iso)) == (1411 if up_to_iso else 161280)
+    assert runs == [(5, True)]
+
+
+@pytest.mark.parametrize("spec", [EnumSpec(4, LATIN), EnumSpec(3, constraints=(NE,))])
+@pytest.mark.parametrize("view", [count, tables, blocks])
+def test_each_view_validates_its_spec_once(monkeypatch, spec, view):
+    seen = []
+    monkeypatch.setattr(enumeration, "validate_spec", seen.append)
+    result = view(spec)
+    if view is not count:
+        list(result)
+    assert seen == [spec]
+
+
 def _backtracked(spec):
     """The spec's flat tables from the per-first-row backtracker, the path
     equationally constrained specs take, filtered by the reference checks."""
@@ -324,6 +350,49 @@ def test_blocks_flatten_to_the_table_stream(spec, workers):
     assert all(isinstance(block, list) for block in got)
     flat = [raw for block in got for raw in block]
     assert flat == [bytes(m.table) for m in tables(spec, workers)]
+
+
+@st.composite
+def enum_specs(draw):
+    """Specs of every kind: either mode, laws of each kind, up_to_iso, and
+    non_latin where the mode allows it; all-magma orders to 3, Latin to 4."""
+    latin = draw(st.booleans())
+    laws = draw(st.lists(st.sampled_from((*EQUATIONAL_LAWS, NE, IN, CA)), max_size=2, unique=True))
+    return EnumSpec(
+        draw(st.integers(1, 4 if latin else 3)),
+        LATIN if latin else ALL_MAGMAS,
+        tuple(laws),
+        up_to_iso=draw(st.booleans()),
+        non_latin=not latin and draw(st.booleans()),
+    )
+
+
+def _three_views(spec, workers):
+    """The stream's flat tables, after checking that tables, blocks and
+    count give the same stream."""
+    got = [bytes(m.table) for m in tables(spec, workers)]
+    assert [raw for block in blocks(spec, workers) for raw in block] == got
+    assert count(spec, workers) == len(got)
+    return got
+
+
+@settings(PROPERTY, max_examples=40)
+@given(enum_specs())
+def test_count_tables_and_blocks_are_one_stream(spec):
+    _three_views(spec, 1)
+
+
+VIEW_SPECS = {
+    "A": EnumSpec(3, constraints=(A,)),
+    "latin C up_to_iso": EnumSpec(4, LATIN, (C,), up_to_iso=True),
+    "A NE non_latin": EnumSpec(3, constraints=(A, NE), non_latin=True),
+    "latin CA": EnumSpec(4, LATIN, (CA,)),
+}
+
+
+@pytest.mark.parametrize("spec", VIEW_SPECS.values(), ids=VIEW_SPECS)
+def test_the_three_views_agree_at_two_workers(spec):
+    assert _three_views(spec, 2) == _three_views(spec, 1)
 
 
 def test_plain_latin_blocks_are_first_rows():

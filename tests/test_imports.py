@@ -11,7 +11,9 @@ A third scan keeps one cap policy: enumeration.py is the only module in
 src/magma_lab/ that reads the environment or names MAX_ORDER_ENV.
 
 A fourth keeps one parser of request text: dsl.py is the only module in
-src/magma_lab/ that imports re.
+src/magma_lab/ that imports re. A fifth keeps one worker-pool path:
+enumeration.py is the only one that imports multiprocessing or
+concurrent.futures.
 """
 
 import ast
@@ -163,28 +165,36 @@ def test_scan_sees_a_second_cap_reader():
         assert env_readers(sources) == ["a", "b"], reader
 
 
-def _imports_re(node) -> bool:
+def _imported(node) -> list:
+    """The dotted names node imports: each module, and for a from-import
+    also each module.name."""
     if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "re" for alias in node.names)
-    # a relative import (level > 0) names a module of the package, not re
-    return (
-        isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "re"
-    )
+        return [alias.name for alias in node.names]
+    # a relative import (level > 0) names a module of the package
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
 
 
-def re_importers(sources: dict) -> list:
+def importers(sources: dict, *modules: str) -> list:
     """Sorted names of the modules in sources (module name to source text)
-    that import re or import anything from it, at any depth."""
+    that import one of modules, a submodule of it or anything from either,
+    at any depth."""
+    prefixes = tuple(m + "." for m in modules)
     return sorted(
         module
         for module, text in sources.items()
-        if any(_imports_re(n) for n in ast.walk(ast.parse(text)))
+        if any(
+            name in modules or name.startswith(prefixes)
+            for n in ast.walk(ast.parse(text))
+            for name in _imported(n)
+        )
     )
 
 
 def test_only_dsl_imports_re():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
-    assert re_importers(sources) == ["dsl"]
+    assert importers(sources, "re") == ["dsl"]
 
 
 def test_scan_sees_a_second_re_importer():
@@ -192,7 +202,7 @@ def test_scan_sees_a_second_re_importer():
         "a": "import re\nNAME = re.compile('[a-z]+')\n",
         "b": "from . import regexes\nfrom .re_tools import split\nimport os\n",
     }
-    assert re_importers(sources) == ["a"]
+    assert importers(sources, "re") == ["a"]
     for importer in (
         "import re as regex\n",
         "from re import compile\n",
@@ -200,4 +210,30 @@ def test_scan_sees_a_second_re_importer():
         "def scan(text):\n    import re\n    return re.split(',', text)\n",
     ):
         sources["b"] = importer
-        assert re_importers(sources) == ["a", "b"], importer
+        assert importers(sources, "re") == ["a", "b"], importer
+
+
+POOL_MODULES = ("multiprocessing", "concurrent.futures")
+
+
+def test_only_enumeration_imports_a_worker_pool():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert importers(sources, *POOL_MODULES) == ["enumeration"]
+
+
+def test_scan_sees_a_second_pool_importer():
+    sources = {
+        "a": "from multiprocessing import Pool\n",
+        "b": "import concurrent\nimport multiprocessing_tools\nfrom . import multiprocessing\n",
+    }
+    assert importers(sources, *POOL_MODULES) == ["a"]
+    for importer in (
+        "import multiprocessing as mp\n",
+        "import os, multiprocessing.pool\n",
+        "from multiprocessing.pool import ThreadPool\n",
+        "from concurrent.futures import ProcessPoolExecutor\n",
+        "from concurrent import futures\n",
+        "def run(jobs):\n    import concurrent.futures as cf\n    return cf\n",
+    ):
+        sources["b"] = importer
+        assert importers(sources, *POOL_MODULES) == ["a", "b"], importer
