@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .core import content_lines
+from .core import _excerpt, content_lines
 from .laws import BY_NAME, Equation, Law, evaluate, user_law
 from .search import SearchSpec
 
@@ -106,7 +106,7 @@ def parse_law(text: str) -> Law:
         name = m.group(1)
         law = BY_NAME.get(name.upper())
         if law is None:
-            raise LawSyntaxError(f"unknown law name {name!r}", offset)
+            raise LawSyntaxError(f"unknown law name {_excerpt(name)}", offset)
         return law
     return user_law(parse_equation(text))
 

@@ -30,6 +30,13 @@ One stream, three views: _stream validates, sources and filters it.
 tables yields a Magma per table; blocks yields flat bytes, one list per
 first-row chunk, and builds no Magma for an unfiltered chunk (enumerate's
 text output); count adds up chunk sizes, bare counts when unfiltered.
+
+count runs one job per orbit of first rows (_orbits) and multiplies what
+it counts by the orbit's size. A relabeling s that fixes 0 maps the tables
+with first row r one-to-one onto those whose first row r' has
+r'[s[x]] = s[r[x]], and every law, as well as non_latin, holds in a table
+exactly when it holds in its relabeling. An up_to_iso count is not
+weighted, since only one table of each class is canonical.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import ceil
 from multiprocessing import Pool
+from operator import mul
 from typing import Iterator
 
 from . import core
@@ -291,16 +299,39 @@ def _prefixes(spec: EnumSpec):
     return filter(_may_lead_canonical, rows) if spec.up_to_iso else rows
 
 
-def _relabeled(spec: EnumSpec, counting: bool):
+def _orbits(spec: EnumSpec):
+    """The first rows of spec's tables under the relabelings that fix 0, one
+    (least row, orbit size) pair per orbit, in lexicographic order.
+
+    Relabeling by s maps first row r to r' with r'[s[x]] = s[r[x]]. The rows
+    are walked in order, so a row not yet met as an image is the least of
+    its orbit; each row is met once, so it leaves the set of pending images
+    when it is reached.
+    """
+    n = spec.order
+    fixing = [(0, *tail) for tail in permutations(range(1, n))]
+    pairs = [(s, sorted(range(n), key=s.__getitem__)) for s in fixing]  # s, s^-1
+    pending: set = set()
+    for row in _prefixes(spec):
+        if row in pending:
+            pending.remove(row)
+            continue
+        orbit = {tuple(s[row[x]] for x in inv) for s, inv in pairs}
+        yield row, len(orbit)
+        orbit.remove(row)
+        pending |= orbit
+
+
+def _relabeled(spec: EnumSpec, rows, counting: bool):
     """The Latin squares of spec's order, one sorted list (or, counting, its
-    length) per first row p of _prefixes(spec), in first-row order: the
-    normal job's squares, those with first row 0..n-1, relabeled by p. Bytes
-    compare like tuples of small ints, so sorting restores flat-table order."""
+    length) per first row p of rows, in their order: the normal job's
+    squares, those with first row 0..n-1, relabeled by p. Bytes compare
+    like tuples of small ints, so sorting restores flat-table order."""
     n = spec.order
     normal = None if counting else []
     found = _run(n, True, (((),) * (n * n), ()), tuple(range(n)), normal)
     pad = bytes(256 - n)
-    for p in _prefixes(spec):
+    for p in rows:
         relabel = bytes(p) + pad
         yield found if counting else sorted(sq.translate(relabel) for sq in normal)
 
@@ -314,8 +345,8 @@ def _subtree(job):
     return accepted if counting else out
 
 
-def _subtrees(spec: EnumSpec, workers: int, counting: bool):
-    """_subtree results for every first-row prefix, in first-row order.
+def _subtrees(spec: EnumSpec, rows, workers: int, counting: bool):
+    """_subtree results for each first row of rows, in their order.
 
     A job carries the (arity, code) program of each equational constraint,
     never a law or a term tree. The pool never gets more processes than
@@ -325,7 +356,7 @@ def _subtrees(spec: EnumSpec, workers: int, counting: bool):
     eqs = [law.equation for law in _split_constraints(spec)[0]]
     programs = tuple((len(eq.variables), eq.code) for eq in eqs)
     head = (spec.order, spec.mode == LATIN, programs)
-    jobs = [head + (p, counting) for p in _prefixes(spec)]
+    jobs = [head + (p, counting) for p in rows]
     workers = min(workers, os.cpu_count() or 1, len(jobs))
     if workers <= 1:
         yield from map(_subtree, jobs)
@@ -338,29 +369,37 @@ def _stream(spec: EnumSpec, workers: int, counting: bool = False):
     """spec's stream, one chunk per first row in first-row order: the flat
     bytes tables that pass up_to_iso, non_latin and the post laws, tested
     one at a time as the chunk is read, or, counting, only their number.
-    Plain Latin streams relabel the normal job; the others backtrack."""
+    Plain Latin streams relabel the normal job; the others backtrack. A
+    count without up_to_iso takes one row per orbit and weights its number
+    by the orbit's size."""
     validate_spec(spec)
     eqs, post = _split_constraints(spec)
     filtered = spec.up_to_iso or spec.non_latin or post
     bare = counting and not filtered
-    if spec.mode == LATIN and not eqs:
-        chunks = _relabeled(spec, bare)
+    weighted = counting and not spec.up_to_iso
+    if weighted:
+        rows, sizes = zip(*_orbits(spec))
     else:
-        chunks = _subtrees(spec, workers, bare)
-    if not filtered:
-        return chunks
-    order = spec.order
+        rows = _prefixes(spec)
+    if spec.mode == LATIN and not eqs:
+        chunks = _relabeled(spec, rows, bare)
+    else:
+        chunks = _subtrees(spec, rows, workers, bare)
+    if filtered:
+        order = spec.order
 
-    def keep(raw: bytes) -> bool:
-        m = Magma(order, raw)
-        if spec.up_to_iso and not is_canonical(m):
-            return False
-        if spec.non_latin and check_H(m).holds:
-            return False
-        return all(holds(m, law) for law in post)
+        def keep(raw: bytes) -> bool:
+            m = Magma(order, raw)
+            if spec.up_to_iso and not is_canonical(m):
+                return False
+            if spec.non_latin and check_H(m).holds:
+                return False
+            return all(holds(m, law) for law in post)
 
-    kept = (filter(keep, chunk) for chunk in chunks)
-    return (sum(1 for _ in chunk) for chunk in kept) if counting else kept
+        chunks = (filter(keep, chunk) for chunk in chunks)
+        if counting:
+            chunks = (sum(1 for _ in chunk) for chunk in chunks)
+    return map(mul, sizes, chunks) if weighted else chunks
 
 
 def tables(spec: EnumSpec, workers: int = 1) -> Iterator[Magma]:
@@ -383,5 +422,7 @@ def blocks(spec: EnumSpec, workers: int = 1) -> Iterator[list[bytes]]:
 def count(spec: EnumSpec, workers: int = 1) -> int:
     """Number of matching tables. An unfiltered stream is counted without
     materializing its tables; plain Latin squares take one job, whose count
-    is added up over the first rows."""
+    is added up over the first rows. Without up_to_iso, one first row per
+    orbit under the relabelings that fix 0 is counted, times its orbit's
+    size."""
     return sum(_stream(spec, workers, counting=True))

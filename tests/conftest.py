@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from magma_lab.enumeration import LATIN, EnumSpec, _subtrees
+from magma_lab.enumeration import LATIN, EnumSpec, _prefixes, _subtrees
 
 _CRITERION = re.compile(r"::test_criterion_(\d+)_")
 
@@ -31,7 +31,5 @@ def latin_stream_lengths():
     """The number of Latin squares of orders 1 to 5, by collecting them all
     from the backtracker over every first row, not from the relabeled
     stream, whose one job is the count's own."""
-    return [
-        sum(map(len, _subtrees(EnumSpec(n, LATIN), 1, counting=False)))
-        for n in range(1, 6)
-    ]
+    specs = [EnumSpec(n, LATIN) for n in range(1, 6)]
+    return [sum(map(len, _subtrees(spec, _prefixes(spec), 1, counting=False))) for spec in specs]

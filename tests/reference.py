@@ -7,6 +7,7 @@ sharing with the optimized code paths under test.
 
 from itertools import permutations, product
 
+from magma_lab.core import Magma
 from magma_lab.laws import CA, H
 from magma_lab.properties import CheckReport, NeutralReport
 
@@ -144,6 +145,18 @@ def _relabeled(m, p):
         for b in range(n):
             new[p[a] * n + p[b]] = p[m.op(a, b)]
     return tuple(new)
+
+
+def first_row_orbits(rows, n):
+    """The orbits of rows, first rows of order-n tables, under the
+    relabelings p with p[0] == 0, as a set of frozensets: each row is put
+    in a table of zeros, relabeled by every such p, and read back."""
+    fixing = [p for p in permutations(range(n)) if p[0] == 0]
+    pad = (0,) * (n * n - n)
+    return {
+        frozenset(_relabeled(Magma(n, tuple(row) + pad), p)[:n] for p in fixing)
+        for row in rows
+    }
 
 
 def canonical_table(m):

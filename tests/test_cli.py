@@ -164,6 +164,12 @@ def test_error_messages_cut_long_numbers(write_table, capsys, monkeypatch, argv,
     assert (code, out) == (2, "") and cut in err and len(err.encode()) < 200
 
 
+def test_unknown_law_name_error_cuts_a_long_name(write_table, capsys):
+    code, out, err = run(capsys, "check", "--table", write_table(ZN_SUB_3), "--law", "Q" * 4000)
+    assert (code, out) == (2, "") and len(err.encode()) < 200
+    assert "unknown law name 'QQQQQQQQQQQQQQQQQQQQ'... (4000 characters) at offset 0" in err
+
+
 def test_workers_error_cuts_a_long_value(capsys):
     # argparse puts its usage line before the message
     with pytest.raises(SystemExit) as exc:

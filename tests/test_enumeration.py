@@ -7,7 +7,7 @@ from itertools import permutations, product
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from magma_lab import cli, enumeration, laws
 from magma_lab.core import Magma, canonical_form
@@ -25,12 +25,16 @@ from magma_lab.enumeration import (
 )
 from magma_lab.dsl import MAX_DEPTH, parse_law
 from magma_lab.laws import (
-    AGII, CA, CAI, EQUATIONAL_LAWS, H, IN, LOOP, NE, R, A, C, Equation, is_tautology, user_law,
+    AGII, ALL_LAWS, CA, CAI, EQUATIONAL_LAWS, H, IN, LOOP, NE, R, A, C, Equation, is_tautology,
+    user_law,
 )
-from magma_lab.properties import check_identity_law, check_law, holds
+from magma_lab.properties import check_H, check_identity_law, check_law, holds
 from magma_lab.structures import proj1, zn_add
 
-from reference import canonical_table, first_failure, is_latin, partial_check, ref_holds
+from reference import (
+    _relabeled, canonical_table, first_failure, first_row_orbits, is_latin, partial_check, ref_holds,
+)
+from strategies import magmas
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -218,14 +222,23 @@ def test_pool_size_is_clamped(monkeypatch):
 
 
 def test_pool_hands_out_jobs_in_chunks(monkeypatch):
-    # Pool.map's rule: about four chunks per process
-    sizes, chunksizes = [], []
-    monkeypatch.setattr(enumeration, "Pool", _fake_pool(sizes, [], chunksizes))
+    # Pool.map's rule: about four chunks per process. A count runs one job
+    # per orbit of first rows, a stream one per first row.
+    sizes, jobs, chunksizes = [], [], []
+    monkeypatch.setattr(enumeration, "Pool", _fake_pool(sizes, jobs, chunksizes))
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
-    assert count(EnumSpec(4, LATIN, (C,)), workers=2) == 96  # 24 jobs
-    assert count(EnumSpec(3, constraints=(C,)), workers=4) == 729  # 27 jobs
-    assert count(EnumSpec(2), workers=4) == 16  # 4 jobs
-    assert sizes == [2, 4, 4] and chunksizes == [3, 2, 1]
+    lengths = []
+    for spec, workers, want in (
+        (EnumSpec(4, LATIN, (C,)), 2, 96),
+        (EnumSpec(3, constraints=(C,)), 4, 729),
+        (EnumSpec(2), 4, 16),
+    ):
+        for view in (count, lambda *args: sum(1 for _ in tables(*args))):
+            assert view(spec, workers) == want
+            lengths.append(len(jobs))
+            jobs.clear()
+    assert lengths == [7, 24, 15, 27, 4, 4]
+    assert sizes == [2, 2, 4, 4, 4, 4] and chunksizes == [1, 3, 1, 2, 1, 1]
 
 
 def _opened(*args, **kwargs):
@@ -268,7 +281,7 @@ def test_each_view_validates_its_spec_once(monkeypatch, spec, view):
 def _backtracked(spec):
     """The spec's flat tables from the per-first-row backtracker, the path
     equationally constrained specs take, filtered by the reference checks."""
-    for chunk in enumeration._subtrees(spec, 1, counting=False):
+    for chunk in enumeration._subtrees(spec, enumeration._prefixes(spec), 1, counting=False):
         for raw in chunk:
             m = Magma(spec.order, raw)
             if spec.up_to_iso and canonical_table(m) != m.table:
@@ -353,16 +366,18 @@ def test_blocks_flatten_to_the_table_stream(spec, workers):
 
 
 @st.composite
-def enum_specs(draw):
-    """Specs of every kind: either mode, laws of each kind, up_to_iso, and
-    non_latin where the mode allows it; all-magma orders to 3, Latin to 4."""
+def enum_specs(draw, latin_top=4, iso=True, users=False):
+    """Specs of every kind: either mode, laws of each kind, up_to_iso unless
+    iso is off, and non_latin where the mode allows it; all-magma orders to
+    3, Latin to latin_top. users adds user equations to the laws drawn."""
     latin = draw(st.booleans())
-    laws = draw(st.lists(st.sampled_from((*EQUATIONAL_LAWS, NE, IN, CA)), max_size=2, unique=True))
+    law = st.sampled_from((*EQUATIONAL_LAWS, NE, IN, CA))
+    laws = draw(st.lists(law | equations if users else law, max_size=2, unique=True))
     return EnumSpec(
-        draw(st.integers(1, 4 if latin else 3)),
+        draw(st.integers(1, latin_top if latin else 3)),
         LATIN if latin else ALL_MAGMAS,
         tuple(laws),
-        up_to_iso=draw(st.booleans()),
+        up_to_iso=iso and draw(st.booleans()),
         non_latin=not latin and draw(st.booleans()),
     )
 
@@ -380,6 +395,15 @@ def _three_views(spec, workers):
 @given(enum_specs())
 def test_count_tables_and_blocks_are_one_stream(spec):
     _three_views(spec, 1)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(enum_specs(latin_top=5, iso=False, users=True))
+@example(EnumSpec(5, LATIN, (NE,)))  # a filtered relabeled stream at the top Latin order
+def test_weighted_count_is_the_stream_length(spec):
+    # count runs one first row per orbit and weights it; tables runs every row
+    want = len(list(tables(spec)))
+    assert count(spec, 1) == count(spec, 2) == want
 
 
 VIEW_SPECS = {
@@ -440,7 +464,7 @@ def test_pool_jobs_carry_programs_not_laws(monkeypatch):
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     spec = EnumSpec(order=3, constraints=(CAI,))
     assert count(spec, workers=2) == count(spec)
-    assert len(jobs) == 27
+    assert len(jobs) == 15  # one per orbit of the 27 first rows
     for order, latin, programs, prefix, counting in jobs:
         assert (order, latin, counting) == (3, False, True)
         assert programs == ((3, CAI.equation.code),)
@@ -551,6 +575,31 @@ def test_up_to_iso_work_of_an_order_6_enumeration_is_pinned(monkeypatch, capsys)
     assert (jobs[0], tested[0]) == (32, 68)
 
 
+ORBIT_SPECS = [EnumSpec(n) for n in range(1, 5)] + [EnumSpec(n, LATIN) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("spec", ORBIT_SPECS, ids=lambda s: f"{s.mode} {s.order}")
+def test_orbits_of_first_rows_match_brute_force_relabeling(spec):
+    got = list(enumeration._orbits(spec))
+    rows = list(enumeration._prefixes(spec))
+    assert sum(size for _, size in got) == len(rows)
+    want = {min(orbit): len(orbit) for orbit in first_row_orbits(rows, spec.order)}
+    assert got == sorted(want.items())  # each row the least of its orbit, in row order
+
+
+@settings(PROPERTY, max_examples=150)
+@given(magmas(1, 4), st.data(), st.lists(equations, max_size=2))
+def test_every_verdict_survives_relabeling(m, data, users):
+    # the fact count's orbit weights rest on
+    perm = data.draw(st.permutations(range(m.order)))
+    image = Magma(m.order, _relabeled(m, perm))
+    for law in (*ALL_LAWS, *users):
+        want = ref_holds(m, law)
+        assert ref_holds(image, law) == want, law.tag
+        assert holds(m, law) == holds(image, law) == want, law.tag
+    assert check_H(m).holds == check_H(image).holds == ref_holds(m, H)
+
+
 def test_checker_calls_of_an_order_4_count_are_pinned(monkeypatch):
     # A deterministic work figure: without forcing this count made 565,870 checker calls.
     calls = [0]
@@ -570,7 +619,25 @@ def test_checker_calls_of_an_order_4_count_are_pinned(monkeypatch):
         assert count(EnumSpec(order=4, constraints=(A,))) == 3492
     finally:
         enumeration._parking.cache_clear()
-    assert calls[0] == 226_523 < 565_870
+    # 226,523 when every first row ran its own job; 52 jobs of 256 run now
+    assert calls[0] == 86_847 < 565_870
+
+
+@pytest.mark.parametrize("spec, want, jobs, rows", [
+    (EnumSpec(4, constraints=(A,)), 3492, 52, 256),
+    (EnumSpec(6, LATIN, (CAI,)), 360, 19, 720),
+])
+def test_a_count_runs_one_job_per_orbit_of_first_rows(monkeypatch, spec, want, jobs, rows):
+    run, prefixes = enumeration._run, []
+
+    def counted(n, latin, parking, prefix, collect):
+        prefixes.append(prefix)
+        return run(n, latin, parking, prefix, collect)
+
+    monkeypatch.setattr(enumeration, "_run", counted)
+    assert count(spec) == want and len(prefixes) == jobs
+    prefixes.clear()
+    assert sum(1 for _ in tables(spec)) == want and len(prefixes) == rows
 
 
 @settings(PROPERTY, max_examples=200)
